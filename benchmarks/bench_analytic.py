@@ -205,7 +205,7 @@ def main() -> int:
         cache = MissTraceCache(store=store)
         screen = screen_half(cache, failures)
         streams = stream_half(cache, failures)
-        stored = {"profiles": store.n_profiles(), "spectra": store.n_spectra()}
+        stored = {"profiles": store.count("profile"), "spectra": store.count("spectrum")}
 
     payload = {
         "pr": 8,

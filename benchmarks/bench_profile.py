@@ -113,7 +113,7 @@ def main() -> int:
                     "seconds_analytic_warm": round(warm_s, 4),
                 }
             )
-        stored_profiles = store.n_profiles()
+        stored_profiles = store.count("profile")
 
     speedup = brute_total / warm_total if warm_total else float("inf")
     configs_brute = sum(r["configs_brute"] for r in rows)

@@ -148,7 +148,7 @@ def main() -> int:
         )
         parallel_cold_s, _ = timed_grid("parallel cold (fills store)", jobs=JOBS, store=store)
         parallel_warm_s, warm_stats = timed_grid("parallel warm store", jobs=JOBS, store=store)
-        stored_traces, stored_results = len(store), store.n_results()
+        stored_traces, stored_results = store.count("trace"), store.count("result")
 
         probe = asyncio.run(service_probe(store_dir))
         print(

@@ -81,13 +81,13 @@ def ensure_profiles(
     digest are given) persists the result for the next session.
     """
     if store is not None and digest is not None:
-        stored = store.load_profiles(digest)
+        stored = store.get("profile", digest)
         if stored is not None and all(bs in stored for bs in block_sizes):
             return stored
     with get_tracer().span("analytic.profile", blocks=len(tuple(block_sizes))):
         profiles = profile_miss_trace(miss_trace, block_sizes)
     if store is not None and digest is not None:
-        store.save_profiles(digest, profiles)
+        store.put("profile", digest, profiles)
     return profiles
 
 

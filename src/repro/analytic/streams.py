@@ -379,7 +379,7 @@ def ensure_spectrum(miss_trace, store=None, digest: Optional[str] = None):
     spectrum layer.
     """
     if store is not None and digest is not None:
-        stored = store.load_spectrum(digest)
+        stored = store.get("spectrum", digest)
         if stored is not None:
             return stored
     from repro.obs.spans import get_tracer
@@ -387,5 +387,5 @@ def ensure_spectrum(miss_trace, store=None, digest: Optional[str] = None):
     with get_tracer().span("analytic.spectrum"):
         spectrum = extract_spectrum(miss_trace)
     if store is not None and digest is not None:
-        store.save_spectrum(digest, spectrum)
+        store.put("spectrum", digest, spectrum)
     return spectrum

@@ -5,9 +5,9 @@ for a trace the worker has neither computed nor stored, it fetches the
 raw store bytes from the chunk's ``blob_origin`` (normally the
 frontend, which either has the blob or returns a clean 404) and ingests
 them into its local :class:`~repro.trace.store.TraceStore` under the
-same digest.  Content addressing makes the transfer trivially
-verifiable — the digest *is* the identity — and a corrupt transfer
-degrades to an ordinary store miss on load.
+same digest.  The store refuses bytes that do not decode as a trace
+(:class:`~repro.trace.store.BlobRejected`), so a garbage transfer never
+becomes an entry that looks present but loads as a miss.
 
 Two failure modes, deliberately distinct:
 
@@ -15,8 +15,10 @@ Two failure modes, deliberately distinct:
   exist there.  Under the default ``"fallback"`` fetch policy the
   worker recomputes locally; under ``"require"`` the affected cells
   fail with a tagged TaskError (no recompute, no hang).
-* :class:`RemoteStoreError` — the origin was unreachable or answered
-  garbage after retries; the caller treats it like a local miss.
+* :class:`RemoteStoreError` / :class:`~repro.trace.store.BlobRejected`
+  — the origin was unreachable, answered an error after retries, or
+  answered bytes that are not a trace (nothing is installed); the
+  caller treats it like a local miss.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import engine_registry
 from repro.obs.spans import get_tracer
 from repro.service.client import RequestFailed, ServiceClient
-from repro.trace.store import TraceStore
+from repro.trace.store import BlobRejected, TraceStore
 
 __all__ = [
     "BlobNotFound",
@@ -110,10 +112,10 @@ def replicate_traces(
 
     Returns:
         The digests that are available *nowhere* — absent locally and
-        404 (or unfetchable) at the origin.  The caller decides whether
-        those recompute (``"fallback"``) or fail (``"require"``);
-        storeless workers report every digest missing, for the same
-        reason.
+        404, unfetchable or undecodable at the origin.  The caller
+        decides whether those recompute (``"fallback"``) or fail
+        (``"require"``); storeless workers report every digest missing,
+        for the same reason.
     """
     log = get_logger("fleet")
     missing: Set[str] = set()
@@ -125,7 +127,8 @@ def replicate_traces(
             continue
         try:
             data = fetch_blob(origin, "trace", digest, timeout=timeout)
-        except (BlobNotFound, RemoteStoreError) as exc:
+            store.ingest_blob("trace", digest, data)
+        except (BlobNotFound, RemoteStoreError, BlobRejected) as exc:
             log.warning(
                 "blob.miss",
                 digest=digest[:12],
@@ -137,5 +140,4 @@ def replicate_traces(
         log.info(
             "blob.replicated", digest=digest[:12], origin=origin, bytes=len(data)
         )
-        store.ingest_blob("trace", digest, data)
     return missing

@@ -26,7 +26,7 @@ Design constraints, in order:
 
 Span naming convention (see docs/observability.md): dotted
 ``layer.operation`` — ``grid.run``, ``grid.chunk``, ``cell``,
-``l1.simulate``, ``stream.replay``, ``store.load_trace``,
+``l1.simulate``, ``stream.replay``, ``store.load_<kind>``,
 ``analytic.profile``, ``l2.probe``, ``request.admit``,
 ``fleet.dispatch``, ``coalesce.join`` …
 

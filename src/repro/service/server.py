@@ -40,6 +40,7 @@ interesting machinery is behind it, not in it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -47,7 +48,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 import asyncio
 
@@ -76,7 +77,7 @@ from repro.service.queue import (
 from repro.sim.parallel import SweepTask, TaskError, make_pool, run_grid
 from repro.sim.results import L1Summary, RunResult
 from repro.sim.runner import MissTraceCache
-from repro.trace.store import TraceStore, result_digest, trace_digest
+from repro.trace.store import TraceStore, cell_stats, result_digest, trace_digest
 
 __all__ = ["ServiceConfig", "SimulationService", "ServiceServer", "run_server"]
 
@@ -375,7 +376,7 @@ class SimulationService:
         if self.store is not None:
             summary = self._summaries.get(tkey)
             if summary is not None:
-                stats = await asyncio.to_thread(self.store.load_result, digest)
+                stats = await asyncio.to_thread(self.store.get, "result", digest)
                 if stats is not None:
                     self._c_store_fast.inc()
                     result = RunResult(
@@ -398,21 +399,27 @@ class SimulationService:
         self, cell: api.CellSpec
     ) -> Tuple[api.CellSpec, Union[RunResult, TaskError]]:
         tkey, digest = self._digests(cell)
-        cached = self._results.get(digest)
-        if cached is not None:
+        result = self._results.get(digest)
+        if result is not None:
             self._c_result_cache.inc()
-            return cell, cached
-        future, coalesced = self.coalescer.admit(
-            digest,
-            lambda: asyncio.ensure_future(self._compute_cell(cell, tkey, digest)),
-            trace_id=cell.trace_id or current_trace_id(),
-        )
-        if coalesced:
-            self._c_coalesce.inc()
-            self._record_join(cell, digest)
-        # Shield: this waiter's deadline/cancellation must not kill the
-        # shared computation other waiters are attached to.
-        result = await asyncio.shield(future)
+        else:
+            future, coalesced = self.coalescer.admit(
+                digest,
+                lambda: asyncio.ensure_future(self._compute_cell(cell, tkey, digest)),
+                trace_id=cell.trace_id or current_trace_id(),
+            )
+            if coalesced:
+                self._c_coalesce.inc()
+                self._record_join(cell, digest)
+            # Shield: this waiter's deadline/cancellation must not kill the
+            # shared computation other waiters are attached to.
+            result = await asyncio.shield(future)
+        if isinstance(result, RunResult):
+            # One digest serves a bare stream cell and its streams-kind
+            # mechanism twin; each reports its own shape.
+            stats = cell_stats(cell.config, result.streams)
+            if stats is not result.streams:
+                result = dataclasses.replace(result, streams=stats)
         return cell, result
 
     def _record_join(self, cell: api.CellSpec, digest: str) -> None:
@@ -444,9 +451,50 @@ class SimulationService:
 
     # -- request handlers --------------------------------------------------
 
-    def _clamp_timeout(self, requested: Optional[float]) -> float:
-        timeout = requested if requested is not None else self.config.default_timeout_s
-        return min(timeout, self.config.max_timeout_s)
+    @contextlib.asynccontextmanager
+    async def _admitted(
+        self,
+        endpoint: str,
+        requested_timeout: Optional[float],
+        log: str,
+        span: Optional[dict] = None,
+        /,
+        **fields,
+    ) -> AsyncIterator[float]:
+        """Admit one request: count it, queue it, bound it, time it.
+
+        Takes an admission slot (inside a ``request.admit`` span with
+        args ``span`` when given) and yields the clamped timeout for the
+        body's ``with_deadline``.  A full queue or a missed deadline is
+        counted, logged as ``<log>.reject``/``<log>.timeout`` with
+        ``fields`` and re-raised (429/504); every outcome is timed.
+        """
+        self._c_requests.inc()
+        if requested_timeout is None:
+            requested_timeout = self.config.default_timeout_s
+        timeout = min(requested_timeout, self.config.max_timeout_s)
+        started = time.perf_counter()
+        admit = (
+            get_tracer().span("request.admit", **span)
+            if span is not None
+            else contextlib.nullcontext()
+        )
+        try:
+            with admit:
+                async with self.queue.slot():
+                    yield timeout
+        except QueueFullError:
+            self._c_rejected.inc()
+            self._log.warning(f"{log}.reject", **fields)
+            raise
+        except DeadlineExceeded:
+            self._c_timeouts.inc()
+            self._log.warning(f"{log}.timeout", timeout_s=timeout, **fields)
+            raise
+        finally:
+            elapsed_ms = 1000 * (time.perf_counter() - started)
+            self._h_latency.observe(elapsed_ms)
+            self._endpoint_latency(endpoint).observe(elapsed_ms)
 
     def _endpoint_latency(self, kind: str) -> "Histogram":
         histogram = self._h_endpoints.get(kind)
@@ -465,41 +513,22 @@ class SimulationService:
         stamped onto every cell, so frontend spans, coalescer joins,
         chunk dispatches and worker replays all tag the same trace.
         """
-        self._c_requests.inc()
         self._c_cells_requested.inc(len(request.cells))
-        timeout = self._clamp_timeout(request.timeout_s)
         started = time.perf_counter()
         with trace_scope(new_trace_id()) as trace_id:
             cells = tuple(
                 dataclasses.replace(cell, trace_id=trace_id)
                 for cell in request.cells
             )
-            self._log.info(
-                "request.admit", endpoint=request.kind, cells=len(cells)
-            )
-            try:
-                with get_tracer().span(
-                    "request.admit", endpoint=request.kind, cells=len(cells)
-                ):
-                    async with self.queue.slot():
-                        pairs = await with_deadline(
-                            asyncio.gather(*(self._one_cell(cell) for cell in cells)),
-                            timeout,
-                        )
-            except QueueFullError:
-                self._c_rejected.inc()
-                self._log.warning("request.reject", endpoint=request.kind)
-                raise
-            except DeadlineExceeded:
-                self._c_timeouts.inc()
-                self._log.warning(
-                    "request.timeout", endpoint=request.kind, timeout_s=timeout
+            self._log.info("request.admit", endpoint=request.kind, cells=len(cells))
+            span = {"endpoint": request.kind, "cells": len(cells)}
+            async with self._admitted(
+                request.kind, request.timeout_s, "request", span, endpoint=request.kind
+            ) as timeout:
+                pairs = await with_deadline(
+                    asyncio.gather(*(self._one_cell(cell) for cell in cells)),
+                    timeout,
                 )
-                raise
-            finally:
-                elapsed_ms = 1000 * (time.perf_counter() - started)
-                self._h_latency.observe(elapsed_ms)
-                self._endpoint_latency(request.kind).observe(elapsed_ms)
         results = [
             api.encode_cell_result(cell, result)
             for cell, result in pairs
@@ -534,31 +563,16 @@ class SimulationService:
 
     async def handle_exhibit(self, request: api.ExhibitRequest) -> dict:
         """Serve a validated exhibit request; returns the response body."""
-        self._c_requests.inc()
-        timeout = self._clamp_timeout(request.timeout_s)
         started = time.perf_counter()
         with trace_scope(new_trace_id()) as trace_id:
             self._log.info("request.admit", endpoint="exhibit", name=request.name)
-            try:
-                with get_tracer().span("request.admit", endpoint="exhibit"):
-                    async with self.queue.slot():
-                        rendered = await with_deadline(
-                            asyncio.to_thread(self._run_exhibit, request), timeout
-                        )
-            except QueueFullError:
-                self._c_rejected.inc()
-                self._log.warning("request.reject", endpoint="exhibit")
-                raise
-            except DeadlineExceeded:
-                self._c_timeouts.inc()
-                self._log.warning(
-                    "request.timeout", endpoint="exhibit", timeout_s=timeout
+            span = {"endpoint": "exhibit"}
+            async with self._admitted(
+                "exhibit", request.timeout_s, "request", span, endpoint="exhibit"
+            ) as timeout:
+                rendered = await with_deadline(
+                    asyncio.to_thread(self._run_exhibit, request), timeout
                 )
-                raise
-            finally:
-                elapsed_ms = 1000 * (time.perf_counter() - started)
-                self._h_latency.observe(elapsed_ms)
-                self._endpoint_latency("exhibit").observe(elapsed_ms)
         return api.ok_envelope(
             "exhibit",
             name=request.name,
@@ -613,61 +627,48 @@ class SimulationService:
         metrics delta + spans) so the frontend's ``/metrics``, manifests
         and traces cover the whole fleet.
         """
-        self._c_requests.inc()
         self._c_chunks.inc()
         self._c_chunk_cells.inc(len(request.cells))
-        timeout = self._clamp_timeout(request.timeout_s)
         started = time.perf_counter()
         digests = [self._digests(cell) for cell in request.cells]
-        unavailable: set = set()
-        if request.blob_origin is not None or request.fetch_policy == "require":
-            from repro.fleet.remote import replicate_traces
 
-            wanted = {tkey for tkey, _ in digests}
-            unavailable = await asyncio.to_thread(
-                replicate_traces, self.store, request.blob_origin, wanted
-            )
-        try:
-            async with self.queue.slot():
-
-                async def one(cell: api.CellSpec, tkey: str):
-                    if request.fetch_policy == "require" and tkey in unavailable:
-                        self._c_chunk_unavailable.inc()
-                        return TaskError(
-                            key=cell.key,
-                            workload=cell.workload,
-                            error="trace_unavailable",
-                            details=(
-                                f"trace {tkey} is neither local nor at "
-                                f"{request.blob_origin!r} and fetch_policy="
-                                "'require' forbids recomputing it"
-                            ),
-                            worker=os.getpid(),
-                        )
-                    _, result = await self._one_cell(cell)
-                    return result
-
-                results = await with_deadline(
-                    asyncio.gather(
-                        *(
-                            one(cell, tkey)
-                            for cell, (tkey, _) in zip(request.cells, digests)
-                        )
+        async def one(cell: api.CellSpec, tkey: str, unavailable: set):
+            if request.fetch_policy == "require" and tkey in unavailable:
+                self._c_chunk_unavailable.inc()
+                return TaskError(
+                    key=cell.key,
+                    workload=cell.workload,
+                    error="trace_unavailable",
+                    details=(
+                        f"trace {tkey} is neither local nor at "
+                        f"{request.blob_origin!r} and fetch_policy="
+                        "'require' forbids recomputing it"
                     ),
-                    timeout,
+                    worker=os.getpid(),
                 )
-        except QueueFullError:
-            self._c_rejected.inc()
-            self._log.warning("chunk.reject", cells=len(request.cells))
-            raise
-        except DeadlineExceeded:
-            self._c_timeouts.inc()
-            self._log.warning("chunk.timeout", timeout_s=timeout)
-            raise
-        finally:
-            elapsed_ms = 1000 * (time.perf_counter() - started)
-            self._h_latency.observe(elapsed_ms)
-            self._endpoint_latency("chunk").observe(elapsed_ms)
+            _, result = await self._one_cell(cell)
+            return result
+
+        async with self._admitted(
+            "chunk", request.timeout_s, "chunk", cells=len(request.cells)
+        ) as timeout:
+            unavailable: set = set()
+            if request.blob_origin is not None or request.fetch_policy == "require":
+                from repro.fleet.remote import replicate_traces
+
+                wanted = {tkey for tkey, _ in digests}
+                unavailable = await asyncio.to_thread(
+                    replicate_traces, self.store, request.blob_origin, wanted
+                )
+            results = await with_deadline(
+                asyncio.gather(
+                    *(
+                        one(cell, tkey, unavailable)
+                        for cell, (tkey, _) in zip(request.cells, digests)
+                    )
+                ),
+                timeout,
+            )
         encoded = []
         failed = 0
         for cell, result in zip(request.cells, results):

@@ -42,7 +42,7 @@ from repro.obs.spans import get_tracer
 from repro.sim.results import RunResult
 from repro.sim.runner import MissTraceCache, resolve_workload_ref
 from repro.sim.vector import replay_secondary, replay_streams
-from repro.trace.store import TraceStore, mech_result_digest, result_digest
+from repro.trace.store import TraceStore, cell_stats, result_digest
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -177,31 +177,22 @@ def _run_one(task: SweepTask, cache: MissTraceCache) -> Union[RunResult, TaskErr
             store = cache.store
             config = task.config
             stats: Optional[Union[StreamStats, MechStats]] = None
-            digest = None
-            if isinstance(config, MechanismConfig):
-                if store is not None:
-                    digest = mech_result_digest(
-                        cache.trace_key(name, scale, seed), config
+            if store is not None:
+                digest = result_digest(cache.trace_key(name, scale, seed), config)
+                stats = store.get("result", digest)
+            source = "store"
+            if stats is None:
+                source = "replayed"
+                mech = isinstance(config, MechanismConfig)
+                with get_tracer().span(
+                    "mech.replay" if mech else "stream.replay", workload=name
+                ):
+                    stats = (replay_secondary if mech else replay_streams)(
+                        config, miss_trace
                     )
-                    stats = store.load_mech_result(digest, config)
-                source = "store"
-                if stats is None:
-                    source = "replayed"
-                    with get_tracer().span("mech.replay", workload=name):
-                        stats = replay_secondary(config, miss_trace)
-                    if store is not None:
-                        store.save_mech_result(digest, stats)
-            else:
                 if store is not None:
-                    digest = result_digest(cache.trace_key(name, scale, seed), config)
-                    stats = store.load_result(digest)
-                source = "store"
-                if stats is None:
-                    source = "replayed"
-                    with get_tracer().span("stream.replay", workload=name):
-                        stats = replay_streams(config, miss_trace)
-                    if store is not None:
-                        store.save_result(digest, stats)
+                    store.put("result", digest, stats)
+            stats = cell_stats(config, stats)
         wall = time.perf_counter() - started
         _count_cell(registry, source, wall)
         return RunResult(

@@ -186,7 +186,7 @@ class MissTraceCache:
         digest = None
         if self.store is not None:
             digest = self.trace_key(name, scale, seed)
-            stored = self.store.load_trace(digest)
+            stored = self.store.get("trace", digest)
             if stored is not None:
                 self.store_hits += 1
                 self._insert(key, stored)
@@ -201,7 +201,7 @@ class MissTraceCache:
         )
         computed_s = time.perf_counter() - started
         if self.store is not None:
-            self.store.save_trace(digest, *result)
+            self.store.put("trace", digest, result)
         self._insert(key, result)
         self._emit("trace_computed", digest=digest, duration_s=computed_s)
         self._check_result(key, digest, result)

@@ -1,42 +1,41 @@
-"""Persistent on-disk store of L1 miss traces and replay results.
+"""Persistent on-disk store of L1 miss traces and what is derived from them.
 
 The paper's methodology — simulate the primary-cache miss stream once,
-replay it under many stream configurations — is only cheap if the "once"
-part actually happens once.  The in-process
+replay it under many secondary configurations — is only cheap if the
+"once" part actually happens once.  The in-process
 :class:`~repro.sim.runner.MissTraceCache` gives that within a session;
-this module extends it across processes and sessions:
+this module extends it across processes, sessions and fleet hosts.
 
-* **traces/** — each ``(workload, scale, seed, L1 config, keep_pcs)``
-  tuple hashes to a stable digest; the miss trace plus its
-  :class:`~repro.sim.results.L1Summary` live in one compressed ``.npz``
-  under that digest.  Loading a stored trace is exact: the arrays are
-  ``int64``/``uint8`` and the summary's floats round-trip through JSON
-  ``repr`` precision losslessly.
-* **results/** — a replay of one :class:`~repro.core.config.StreamConfig`
-  over a stored trace is itself deterministic, so the resulting
-  :class:`~repro.core.prefetcher.StreamStats` (all-integer counters) is
-  cached as JSON under a digest of ``(trace digest, config)``.  Warm
-  figure sweeps then skip both the L1 simulation *and* the replay.
-* **profiles/** — the single-pass stack-distance profiles of
-  :mod:`repro.analytic.profile` are a pure function of the miss trace,
-  so they are keyed by the *same* trace digest (one ``.npz`` holding
-  every profiled block size).  Warm analytic Table-4 screens then skip
-  the profiling pass too.
+Every entry is one artifact *kind* under a content digest, and one
+table, :data:`CODECS`, says how each kind lives on disk:
 
-Robustness rules: every load returns ``None`` on any defect — missing
-file, truncated archive, bad JSON, wrong format version — and the caller
-recomputes and overwrites.  Writes go through a temp file + ``os.replace``
-so a crashed run never leaves a partial archive behind.  Bump
-:data:`STORE_FORMAT_VERSION` when the trace layout or the L1 simulator's
-semantics change, and :data:`RESULT_FORMAT_VERSION` when the replay
-semantics change; old entries then hash differently and die of neglect
-(``prune`` removes them eagerly).
+* ``trace`` — one L1 simulation's miss trace + ``L1Summary``, keyed by
+  :func:`trace_digest` (exact: ``int64``/``uint8`` arrays, JSON floats);
+* ``result`` — one replay's all-integer ``StreamStats``/``MechStats``,
+  keyed by :func:`result_digest` of (trace digest, secondary config),
+  so warm sweeps skip both the L1 simulation *and* the replay;
+* ``profile`` / ``spectrum`` — the analytic stack-distance profiles and
+  run spectrum of a trace, keyed by its trace digest.
+
+:meth:`TraceStore.put` and :meth:`TraceStore.get` are the one write and
+the one read path of every kind; spans, hook events, replication,
+counting, pruning and orphan reaping all follow from the table.
+
+Robustness rule: a codec's ``decode`` raises on any defect — missing
+file, truncated archive, bad JSON, foreign shape, stale format version —
+and every such entry is a miss: ``get`` returns ``None`` (the caller
+recomputes and overwrites), ``prune`` deletes it, ``ingest_blob``
+refuses it.  Writes go through a temp file + ``os.replace`` so a crashed
+run never leaves a partial entry behind.  Bump a format version when
+its kind's layout or semantics change; old entries then miss (and the
+digest-keyed ones hash differently and die of neglect).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -44,7 +43,9 @@ import time
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+)
 
 import numpy as np
 
@@ -71,11 +72,14 @@ __all__ = [
     "MECH_RESULT_FORMAT_VERSION",
     "PROFILE_FORMAT_VERSION",
     "SPECTRUM_FORMAT_VERSION",
+    "CODECS",
+    "BlobRejected",
+    "Codec",
     "TraceStore",
     "canonical_scale",
+    "cell_stats",
     "trace_digest",
     "result_digest",
-    "mech_result_digest",
     "stats_to_dict",
     "stats_from_dict",
     "mech_stats_to_dict",
@@ -93,7 +97,7 @@ RESULT_FORMAT_VERSION = 1
 #: Bump when non-stream mechanism semantics change (victim shadow-tag
 #: reconstruction, miss-cache invalidation, hybrid residual composition).
 #: Stream-mechanism results ride on :data:`RESULT_FORMAT_VERSION` instead
-#: so they stay interchangeable with ``run_streams`` results.
+#: so they stay interchangeable with plain stream results.
 MECH_RESULT_FORMAT_VERSION = 1
 
 #: Bump when the locality-profile layout or the profiling semantics
@@ -108,18 +112,13 @@ PROFILE_FORMAT_VERSION = 2
 #: and are recomputed.
 SPECTRUM_FORMAT_VERSION = 1
 
-#: Everything a missing/truncated/foreign trace archive can raise.
-#: ``np.load`` surfaces zip-container damage as ``BadZipFile``/``EOFError``
-#: and member-decompression damage as ``zlib.error``.
-_TRACE_DEFECTS = (
-    OSError,
-    KeyError,
-    ValueError,
-    TypeError,
-    EOFError,
-    json.JSONDecodeError,
-    zipfile.BadZipFile,
-    zlib.error,
+#: Everything reading and decoding a missing, truncated, foreign or stale
+#: entry can raise.  ``np.load`` surfaces zip-container damage as
+#: ``BadZipFile``/``EOFError`` and member-decompression damage as
+#: ``zlib.error``; JSON of the wrong shape raises ``LookupError`` or
+#: ``TypeError``; bad JSON and stale versions raise ``ValueError``.
+_DEFECTS = (
+    OSError, LookupError, ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error
 )
 
 
@@ -167,8 +166,25 @@ def trace_digest(
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def result_digest(trace_key: str, config: StreamConfig) -> str:
-    """Stable content key of one replay: trace digest x stream config."""
+def result_digest(trace_key: str, config: "Union[StreamConfig, MechanismConfig]") -> str:
+    """Stable content key of one replay: trace digest x secondary config.
+
+    A ``streams`` mechanism keys exactly like its bare
+    :class:`StreamConfig`, so the two share one entry (see
+    :func:`cell_stats`).  The other mechanism kinds fold the mechanism
+    identity under their own format version.
+    """
+    from repro.mechanisms.base import MechanismConfig, mechanism_to_dict
+
+    if isinstance(config, MechanismConfig):
+        if config.kind != "streams":
+            payload = {
+                "mech_result_version": MECH_RESULT_FORMAT_VERSION,
+                "trace": trace_key,
+                "mechanism": mechanism_to_dict(config),
+            }
+            return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        config = config.streams
     payload = {
         "result_version": RESULT_FORMAT_VERSION,
         "trace": trace_key,
@@ -177,30 +193,28 @@ def result_digest(trace_key: str, config: StreamConfig) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()
 
 
-def mech_result_digest(trace_key: str, mechanism: "MechanismConfig") -> str:
-    """Stable content key of one mechanism replay.
+def cell_stats(
+    config: "Union[StreamConfig, MechanismConfig]",
+    stats: "Union[StreamStats, MechStats]",
+) -> "Union[StreamStats, MechStats]":
+    """The statistics a cell of ``config`` reports, from a result entry.
 
-    A ``streams`` mechanism delegates to :func:`result_digest` so stream
-    results stay interchangeable between ``run_streams`` and the
-    mechanism-generic path — a warm store from either serves both.  The
-    other kinds fold the mechanism identity (the new key component) under
-    their own format version.
+    A bare :class:`StreamConfig` and a ``streams``-kind
+    :class:`MechanismConfig` share one result digest, so whatever sits
+    under it (loaded, coalesced or cached) is reshaped here: the stream
+    cell gets :class:`StreamStats`, the mechanism cell :class:`MechStats`,
+    exactly as its own replay would return.
     """
-    if mechanism.kind == "streams":
-        assert mechanism.streams is not None
-        return result_digest(trace_key, mechanism.streams)
-    payload = {
-        "mech_result_version": MECH_RESULT_FORMAT_VERSION,
-        "trace": trace_key,
-        "mechanism": _mechanism_to_dict(mechanism),
-    }
-    return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    from repro.mechanisms.base import MechanismConfig, MechStats
+    from repro.mechanisms.streams import mech_stats_from_streams
 
-
-def _mechanism_to_dict(mechanism: "MechanismConfig") -> dict:
-    from repro.mechanisms.base import mechanism_to_dict
-
-    return mechanism_to_dict(mechanism)
+    if isinstance(config, MechanismConfig):
+        if config.kind != "streams":
+            return stats
+        if isinstance(stats, MechStats):
+            stats = stats.streams
+        return mech_stats_from_streams(config, stats)
+    return stats.streams if isinstance(stats, MechStats) else stats
 
 
 # -- StreamStats (de)serialisation -----------------------------------------
@@ -325,6 +339,198 @@ def mech_stats_from_dict(payload: dict) -> "MechStats":
     )
 
 
+# -- codecs -------------------------------------------------------------------
+#
+# Each codec turns one kind's value into the bytes of one file and back.
+# ``decode`` is strict: it raises (one of _DEFECTS) on anything its
+# ``encode`` could not have written, a stale format version included.
+
+
+def _check_version(header: dict, key: str, version: int) -> None:
+    if header[key] != version:
+        raise ValueError(f"stale entry: {key} is {header[key]!r}, not {version}")
+
+
+def _pack_npz(meta: dict, arrays: Dict[str, np.ndarray]) -> bytes:
+    """One compressed archive: ``meta`` as a JSON ``uint8`` member, then
+    the arrays, in that order."""
+    buffer = io.BytesIO()
+    meta_bytes = np.frombuffer(_canonical(meta).encode(), dtype=np.uint8)
+    np.savez_compressed(buffer, meta=meta_bytes, **arrays)
+    return buffer.getvalue()
+
+
+def _unpack_npz(
+    data: bytes, version_key: str, version: int
+) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """``(meta, arrays)`` of a :func:`_pack_npz` archive, version-checked."""
+    with np.load(io.BytesIO(data)) as archive:
+        meta = json.loads(bytes(archive["meta"]).decode())
+        _check_version(meta, version_key, version)
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    return meta, arrays
+
+
+def _int64(array: np.ndarray) -> np.ndarray:
+    return array.astype(np.int64, copy=False)
+
+
+def _encode_trace(value: "Tuple[MissTrace, L1Summary]") -> bytes:
+    miss_trace, summary = value
+    meta = {
+        "store_version": STORE_FORMAT_VERSION,
+        "block_bits": miss_trace.block_bits,
+        "summary": dataclasses.asdict(summary),
+    }
+    arrays = {"addrs": miss_trace.addrs, "kinds": miss_trace.kinds}
+    if miss_trace.pcs is not None:
+        arrays["pcs"] = miss_trace.pcs
+    return _pack_npz(meta, arrays)
+
+
+def _decode_trace(data: bytes) -> "Tuple[MissTrace, L1Summary]":
+    from repro.caches.cache import MissTrace
+    from repro.sim.results import L1Summary
+
+    meta, arrays = _unpack_npz(data, "store_version", STORE_FORMAT_VERSION)
+    pcs = arrays.get("pcs")
+    miss_trace = MissTrace(
+        _int64(arrays["addrs"]),
+        arrays["kinds"].astype(np.uint8, copy=False),
+        int(meta["block_bits"]),
+        None if pcs is None else _int64(pcs),
+    )
+    return miss_trace, L1Summary(**meta["summary"])
+
+
+def _encode_result(stats: "Union[StreamStats, MechStats]") -> bytes:
+    from repro.mechanisms.base import MechStats
+
+    if isinstance(stats, MechStats) and stats.config.kind == "streams":
+        stats = stats.streams  # shares the plain stream entry (same digest)
+    if isinstance(stats, MechStats):
+        payload = {
+            "mech_result_version": MECH_RESULT_FORMAT_VERSION,
+            "stats": mech_stats_to_dict(stats),
+        }
+    else:
+        payload = {
+            "result_version": RESULT_FORMAT_VERSION,
+            "stats": stats_to_dict(stats),
+        }
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _decode_result(data: bytes) -> "Union[StreamStats, MechStats]":
+    payload = json.loads(data)
+    if "mech_result_version" in payload:
+        _check_version(payload, "mech_result_version", MECH_RESULT_FORMAT_VERSION)
+        return mech_stats_from_dict(payload["stats"])
+    _check_version(payload, "result_version", RESULT_FORMAT_VERSION)
+    return stats_from_dict(payload["stats"])
+
+
+_PROFILE_COUNTERS = ("cold_reads", "cold_writes", "writebacks", "unique_blocks")
+_PROFILE_ARRAYS = ("read_hist", "write_hist", "bucket_footprint", "bucket_demand")
+
+
+def _encode_profiles(profiles: "Dict[int, LocalityProfile]") -> bytes:
+    meta = {
+        "profile_version": PROFILE_FORMAT_VERSION,
+        "blocks": {
+            str(block_size): {
+                name: getattr(profile, name) for name in _PROFILE_COUNTERS
+            }
+            for block_size, profile in profiles.items()
+        },
+    }
+    arrays = {
+        f"{name}_{block_size}": getattr(profile, name)
+        for block_size, profile in profiles.items()
+        for name in _PROFILE_ARRAYS
+        if getattr(profile, name) is not None
+    }
+    return _pack_npz(meta, arrays)
+
+
+def _decode_profiles(data: bytes) -> "Dict[int, LocalityProfile]":
+    from repro.analytic.profile import LocalityProfile
+
+    meta, arrays = _unpack_npz(data, "profile_version", PROFILE_FORMAT_VERSION)
+    profiles = {}
+    for key, counters in meta["blocks"].items():
+        block_size = int(key)
+        profiles[block_size] = LocalityProfile(
+            block_size=block_size,
+            **{name: int(counters[name]) for name in _PROFILE_COUNTERS},
+            **{
+                name: _int64(arrays[f"{name}_{block_size}"])
+                for name in _PROFILE_ARRAYS
+                if f"{name}_{block_size}" in arrays
+            },
+        )
+    return profiles
+
+
+_SPECTRUM_SCALARS = (
+    "block_bits", "n_events", "demand_misses", "writebacks", "ifetch_misses",
+    "lone_misses", "seed_events", "alloc_events", "window", "zone_bits",
+)
+#: Spectrum arrays in archive order; all ``int64`` but the two flags.
+_SPECTRUM_ARRAYS = (
+    "run_start_addr", "run_stride_bytes", "run_length", "run_wb_next",
+    "run_wb_window", "run_primer_age", "run_kind", "run_byte_uniform",
+    "run_gaps_ge", "run_conc_ge",
+)
+_SPECTRUM_UINT8 = ("run_kind", "run_byte_uniform")
+
+
+def _encode_spectrum(spectrum: "MissSpectrum") -> bytes:
+    meta = {
+        "spectrum_version": SPECTRUM_FORMAT_VERSION,
+        "scalars": {name: getattr(spectrum, name) for name in _SPECTRUM_SCALARS},
+    }
+    return _pack_npz(meta, {name: getattr(spectrum, name) for name in _SPECTRUM_ARRAYS})
+
+
+def _decode_spectrum(data: bytes) -> "MissSpectrum":
+    from repro.trace.spectrum import MissSpectrum
+
+    meta, arrays = _unpack_npz(data, "spectrum_version", SPECTRUM_FORMAT_VERSION)
+    scalars = meta["scalars"]
+    return MissSpectrum(
+        **{name: int(scalars[name]) for name in _SPECTRUM_SCALARS},
+        **{
+            name: arrays[name].astype(
+                np.uint8 if name in _SPECTRUM_UINT8 else np.int64, copy=False
+            )
+            for name in _SPECTRUM_ARRAYS
+        },
+    )
+
+
+class Codec(NamedTuple):
+    """How one artifact kind lives on disk: ``<root>/<directory>/<digest><suffix>``."""
+
+    directory: str
+    suffix: str
+    encode: Callable[[Any], bytes]
+    decode: Callable[[bytes], Any]
+
+
+#: kind -> codec, for every kind the store holds.
+CODECS: Dict[str, Codec] = {
+    "trace": Codec("traces", ".npz", _encode_trace, _decode_trace),
+    "result": Codec("results", ".json", _encode_result, _decode_result),
+    "profile": Codec("profiles", ".npz", _encode_profiles, _decode_profiles),
+    "spectrum": Codec("spectra", ".npz", _encode_spectrum, _decode_spectrum),
+}
+
+
+class BlobRejected(ValueError):
+    """Bytes offered to :meth:`TraceStore.ingest_blob` that do not decode."""
+
+
 #: Orphaned temp files older than this (seconds) are reaped on open.
 #: Generous: a temp file only outlives its writer if that writer died
 #: mid-write, and an hour comfortably exceeds any legitimate write.
@@ -332,7 +538,7 @@ ORPHAN_TTL_SECONDS = 3600.0
 
 
 class TraceStore:
-    """Directory-backed store of miss traces and replay results.
+    """Directory-backed store of miss traces and derived artifacts.
 
     Safe for concurrent use by independent processes and threads:
     digests are content-addressed, writers stage to ``*.tmp`` files the
@@ -345,17 +551,13 @@ class TraceStore:
         root: store directory (created on first use).
         hooks: optional callback fired on every lookup/write with a
             typed :class:`~repro.obs.events.StoreEvent` —
-            ``trace_hit``/``trace_miss``/``trace_saved``/
-            ``result_hit``/``result_miss``/``result_saved``/
-            ``profile_hit``/``profile_miss``/``profile_saved`` — which
-            carries the entry digest, bytes moved and operation wall
-            time.  ``StoreEvent`` subclasses ``str`` (equal to the
-            event name), so PR 2-era ``Callable[[str], None]`` hooks
-            keep working unchanged; :func:`repro.obs.events.
-            as_legacy_hook` wraps hooks that need a plain ``str``.
-            Hooks must be cheap and must not raise.  Independent of any
-            hook, every event is folded into the process-global engine
-            metrics registry (``engine_store_*``).
+            ``<kind>_hit``/``_miss``/``_saved`` for each kind in
+            :data:`CODECS`, ``<kind>_blob_read``/``_blob_ingested`` for
+            replication — carrying the entry digest, bytes moved and
+            operation wall time.  ``StoreEvent`` is a ``str`` equal to
+            the event name, so name-only hooks work unchanged.  Hooks
+            must be cheap and must not raise.  Every event is also
+            folded into the engine metrics registry (``engine_store_*``).
     """
 
     def __init__(
@@ -365,498 +567,69 @@ class TraceStore:
     ):
         self.root = Path(root)
         self.hooks = hooks
-        self._traces_dir = self.root / "traces"
-        self._results_dir = self.root / "results"
-        self._profiles_dir = self.root / "profiles"
-        self._spectra_dir = self.root / "spectra"
+        self._dirs = {kind: self.root / codec.directory for kind, codec in CODECS.items()}
         self.clean_orphans(ORPHAN_TTL_SECONDS)
 
     def __repr__(self) -> str:
         return f"TraceStore({str(self.root)!r})"
 
-    def _emit(
-        self,
-        name: str,
-        digest: Optional[str] = None,
-        nbytes: int = 0,
-        duration_s: float = 0.0,
-    ) -> None:
+    def _emit(self, name: str, digest: str, nbytes: int, duration_s: float) -> None:
         event = StoreEvent(name, digest=digest, nbytes=nbytes, duration_s=duration_s)
         record_event(event, group="store")
         if self.hooks is not None:
             self.hooks(event)
 
-    @staticmethod
-    def _size_of(path: Path) -> int:
-        """On-disk size of an entry, 0 when it is missing (racing writer)."""
+    def _directory(self, kind: str) -> Path:
         try:
-            return path.stat().st_size
-        except OSError:
-            return 0
+            return self._dirs[kind]
+        except KeyError:
+            known = tuple(CODECS)
+            raise ValueError(f"unknown store kind {kind!r}; known: {known}") from None
 
-    # -- trace layer -------------------------------------------------------
+    def path(self, kind: str, digest: str) -> Path:
+        """On-disk path of one entry."""
+        return self._directory(kind) / f"{digest}{CODECS[kind].suffix}"
 
-    def trace_path(self, digest: str) -> Path:
-        return self._traces_dir / f"{digest}.npz"
-
-    def save_trace(
-        self, digest: str, miss_trace: MissTrace, summary: "L1Summary"
-    ) -> Path:
-        """Persist one L1 simulation under its digest (atomic)."""
-        meta = {
-            "store_version": STORE_FORMAT_VERSION,
-            "block_bits": miss_trace.block_bits,
-            "summary": dataclasses.asdict(summary),
-        }
-        arrays = {
-            "meta": np.frombuffer(_canonical(meta).encode(), dtype=np.uint8),
-            "addrs": miss_trace.addrs,
-            "kinds": miss_trace.kinds,
-        }
-        if miss_trace.pcs is not None:
-            arrays["pcs"] = miss_trace.pcs
-        path = self.trace_path(digest)
-
-        def _write(tmp: str) -> None:
-            # Hand savez an open handle: the temp name ends in ".tmp" and
-            # numpy would otherwise append ".npz" to a bare path.
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-
+    def put(self, kind: str, digest: str, value: Any) -> Path:
+        """Encode and persist one entry under its digest (atomic)."""
+        path = self.path(kind, digest)
         started = time.perf_counter()
-        with get_tracer().span("store.save_trace", digest=digest[:12]):
-            self._write_atomic(path, _write)
-        self._emit(
-            "trace_saved",
-            digest=digest,
-            nbytes=self._size_of(path),
-            duration_s=time.perf_counter() - started,
-        )
+        with get_tracer().span(f"store.save_{kind}", digest=digest[:12]):
+            data = CODECS[kind].encode(value)
+            self._write_atomic(path, data)
+        self._emit(f"{kind}_saved", digest, len(data), time.perf_counter() - started)
         return path
 
-    def load_trace(self, digest: str) -> Optional[Tuple[MissTrace, "L1Summary"]]:
-        """The stored (miss trace, L1 summary), or None on any defect."""
-        from repro.caches.cache import MissTrace
-        from repro.sim.results import L1Summary
-
-        path = self.trace_path(digest)
+    def get(self, kind: str, digest: str) -> Optional[Any]:
+        """The stored entry, decoded, or None on any defect (a miss)."""
+        path = self.path(kind, digest)
         started = time.perf_counter()
-        try:
-            with get_tracer().span("store.load_trace", digest=digest[:12]):
-                with np.load(path) as archive:
-                    meta = json.loads(bytes(archive["meta"]).decode())
-                    if meta["store_version"] != STORE_FORMAT_VERSION:
-                        self._emit(
-                            "trace_miss",
-                            digest=digest,
-                            duration_s=time.perf_counter() - started,
-                        )
-                        return None
-                    pcs = None
-                    if "pcs" in archive:
-                        pcs = archive["pcs"].astype(np.int64, copy=True)
-                    miss_trace = MissTrace(
-                        archive["addrs"].astype(np.int64, copy=True),
-                        archive["kinds"].astype(np.uint8, copy=True),
-                        int(meta["block_bits"]),
-                        pcs,
-                    )
-                    summary = L1Summary(**meta["summary"])
-            self._emit(
-                "trace_hit",
-                digest=digest,
-                nbytes=self._size_of(path),
-                duration_s=time.perf_counter() - started,
-            )
-            return miss_trace, summary
-        except _TRACE_DEFECTS:
-            # Missing, truncated or foreign file: treat as a miss and let
-            # the caller recompute (the rewrite heals the store).
-            self._emit(
-                "trace_miss", digest=digest, duration_s=time.perf_counter() - started
-            )
+        with get_tracer().span(f"store.load_{kind}", digest=digest[:12]):
+            try:
+                data = path.read_bytes()
+                value = CODECS[kind].decode(data)
+            except _DEFECTS:
+                # Missing, damaged, foreign or stale: the caller
+                # recomputes, and its rewrite heals the store.
+                value = None
+        if value is None:
+            self._emit(f"{kind}_miss", digest, 0, time.perf_counter() - started)
             return None
-
-    # -- result layer ------------------------------------------------------
-
-    def result_path(self, digest: str) -> Path:
-        return self._results_dir / f"{digest}.json"
-
-    def save_result(self, digest: str, stats: StreamStats) -> Path:
-        """Persist one replay's statistics under its digest (atomic)."""
-        payload = {
-            "result_version": RESULT_FORMAT_VERSION,
-            "stats": stats_to_dict(stats),
-        }
-        path = self.result_path(digest)
-        data = json.dumps(payload, sort_keys=True, indent=None)
-        started = time.perf_counter()
-        with get_tracer().span("store.save_result", digest=digest[:12]):
-            self._write_atomic(path, lambda tmp: Path(tmp).write_text(data))
-        self._emit(
-            "result_saved",
-            digest=digest,
-            nbytes=len(data),
-            duration_s=time.perf_counter() - started,
-        )
-        return path
-
-    def load_result(self, digest: str) -> Optional[StreamStats]:
-        """The stored replay statistics, or None on any defect."""
-        path = self.result_path(digest)
-        started = time.perf_counter()
-        try:
-            with get_tracer().span("store.load_result", digest=digest[:12]):
-                text = path.read_text()
-                payload = json.loads(text)
-                if payload["result_version"] != RESULT_FORMAT_VERSION:
-                    self._emit(
-                        "result_miss",
-                        digest=digest,
-                        duration_s=time.perf_counter() - started,
-                    )
-                    return None
-                stats = stats_from_dict(payload["stats"])
-        except (OSError, KeyError, ValueError, TypeError):
-            self._emit(
-                "result_miss", digest=digest, duration_s=time.perf_counter() - started
-            )
-            return None
-        self._emit(
-            "result_hit",
-            digest=digest,
-            nbytes=len(text),
-            duration_s=time.perf_counter() - started,
-        )
-        return stats
-
-    def save_mech_result(self, digest: str, stats: "MechStats") -> Path:
-        """Persist one mechanism replay's statistics (atomic).
-
-        ``streams`` mechanisms are stored through :meth:`save_result`
-        under the plain stream payload — their digest is the stream
-        result digest, so either load path can serve either producer.
-        """
-        if stats.config.kind == "streams":
-            assert stats.streams is not None
-            return self.save_result(digest, stats.streams)
-        payload = {
-            "mech_result_version": MECH_RESULT_FORMAT_VERSION,
-            "stats": mech_stats_to_dict(stats),
-        }
-        path = self.result_path(digest)
-        data = json.dumps(payload, sort_keys=True, indent=None)
-        started = time.perf_counter()
-        with get_tracer().span("store.save_mech_result", digest=digest[:12]):
-            self._write_atomic(path, lambda tmp: Path(tmp).write_text(data))
-        self._emit(
-            "result_saved",
-            digest=digest,
-            nbytes=len(data),
-            duration_s=time.perf_counter() - started,
-        )
-        return path
-
-    def load_mech_result(
-        self, digest: str, mechanism: "MechanismConfig"
-    ) -> Optional["MechStats"]:
-        """The stored mechanism replay statistics, or None on any defect."""
-        if mechanism.kind == "streams":
-            from repro.mechanisms.streams import mech_stats_from_streams
-
-            stream_stats = self.load_result(digest)
-            if stream_stats is None:
-                return None
-            return mech_stats_from_streams(mechanism, stream_stats)
-        path = self.result_path(digest)
-        started = time.perf_counter()
-        try:
-            with get_tracer().span("store.load_mech_result", digest=digest[:12]):
-                text = path.read_text()
-                payload = json.loads(text)
-                if payload["mech_result_version"] != MECH_RESULT_FORMAT_VERSION:
-                    self._emit(
-                        "result_miss",
-                        digest=digest,
-                        duration_s=time.perf_counter() - started,
-                    )
-                    return None
-                stats = mech_stats_from_dict(payload["stats"])
-        except (OSError, KeyError, ValueError, TypeError):
-            self._emit(
-                "result_miss", digest=digest, duration_s=time.perf_counter() - started
-            )
-            return None
-        self._emit(
-            "result_hit",
-            digest=digest,
-            nbytes=len(text),
-            duration_s=time.perf_counter() - started,
-        )
-        return stats
-
-    # -- profile layer -----------------------------------------------------
-
-    def profile_path(self, digest: str) -> Path:
-        return self._profiles_dir / f"{digest}.npz"
-
-    def save_profiles(
-        self, digest: str, profiles: "dict[int, LocalityProfile]"
-    ) -> Path:
-        """Persist a trace's locality profiles under its digest (atomic).
-
-        ``profiles`` maps block size -> profile, as produced by
-        :func:`repro.analytic.profile.profile_miss_trace`; every block
-        size shares one archive so a lookup is a single read.
-        """
-        meta = {
-            "profile_version": PROFILE_FORMAT_VERSION,
-            "blocks": {
-                str(block_size): {
-                    "cold_reads": profile.cold_reads,
-                    "cold_writes": profile.cold_writes,
-                    "writebacks": profile.writebacks,
-                    "unique_blocks": profile.unique_blocks,
-                }
-                for block_size, profile in profiles.items()
-            },
-        }
-        arrays = {
-            "meta": np.frombuffer(_canonical(meta).encode(), dtype=np.uint8),
-        }
-        for block_size, profile in profiles.items():
-            arrays[f"read_hist_{block_size}"] = profile.read_hist
-            arrays[f"write_hist_{block_size}"] = profile.write_hist
-            if profile.bucket_footprint is not None:
-                arrays[f"bucket_footprint_{block_size}"] = profile.bucket_footprint
-            if profile.bucket_demand is not None:
-                arrays[f"bucket_demand_{block_size}"] = profile.bucket_demand
-        path = self.profile_path(digest)
-
-        def _write(tmp: str) -> None:
-            # Same open-handle trick as save_trace: the temp name ends in
-            # ".tmp" and numpy would append ".npz" to a bare path.
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-
-        started = time.perf_counter()
-        with get_tracer().span("store.save_profiles", digest=digest[:12]):
-            self._write_atomic(path, _write)
-        self._emit(
-            "profile_saved",
-            digest=digest,
-            nbytes=self._size_of(path),
-            duration_s=time.perf_counter() - started,
-        )
-        return path
-
-    def load_profiles(self, digest: str) -> Optional["dict[int, LocalityProfile]"]:
-        """The stored locality profiles, or None on any defect."""
-        from repro.analytic.profile import LocalityProfile
-
-        path = self.profile_path(digest)
-        started = time.perf_counter()
-        try:
-            with np.load(path) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                if meta["profile_version"] != PROFILE_FORMAT_VERSION:
-                    self._emit(
-                        "profile_miss",
-                        digest=digest,
-                        duration_s=time.perf_counter() - started,
-                    )
-                    return None
-                profiles = {}
-                for key, counters in meta["blocks"].items():
-                    block_size = int(key)
-                    footprint = demand = None
-                    if f"bucket_footprint_{block_size}" in archive:
-                        footprint = archive[
-                            f"bucket_footprint_{block_size}"
-                        ].astype(np.int64, copy=True)
-                    if f"bucket_demand_{block_size}" in archive:
-                        demand = archive[f"bucket_demand_{block_size}"].astype(
-                            np.int64, copy=True
-                        )
-                    profiles[block_size] = LocalityProfile(
-                        block_size=block_size,
-                        read_hist=archive[f"read_hist_{block_size}"].astype(
-                            np.int64, copy=True
-                        ),
-                        write_hist=archive[f"write_hist_{block_size}"].astype(
-                            np.int64, copy=True
-                        ),
-                        cold_reads=int(counters["cold_reads"]),
-                        cold_writes=int(counters["cold_writes"]),
-                        writebacks=int(counters["writebacks"]),
-                        unique_blocks=int(counters["unique_blocks"]),
-                        bucket_footprint=footprint,
-                        bucket_demand=demand,
-                    )
-        except _TRACE_DEFECTS:
-            self._emit(
-                "profile_miss", digest=digest, duration_s=time.perf_counter() - started
-            )
-            return None
-        self._emit(
-            "profile_hit",
-            digest=digest,
-            nbytes=self._size_of(path),
-            duration_s=time.perf_counter() - started,
-        )
-        return profiles
-
-    # -- spectrum layer ----------------------------------------------------
-
-    def spectrum_path(self, digest: str) -> Path:
-        return self._spectra_dir / f"{digest}.npz"
-
-    def save_spectrum(self, digest: str, spectrum: "MissSpectrum") -> Path:
-        """Persist a trace's miss spectrum under its digest (atomic).
-
-        One archive per trace digest, as produced by
-        :func:`repro.trace.spectrum.extract_spectrum`; the analytic
-        stream model evaluates every sweep config from this one entry.
-        """
-        meta = {
-            "spectrum_version": SPECTRUM_FORMAT_VERSION,
-            "scalars": {
-                "block_bits": spectrum.block_bits,
-                "n_events": spectrum.n_events,
-                "demand_misses": spectrum.demand_misses,
-                "writebacks": spectrum.writebacks,
-                "ifetch_misses": spectrum.ifetch_misses,
-                "lone_misses": spectrum.lone_misses,
-                "seed_events": spectrum.seed_events,
-                "alloc_events": spectrum.alloc_events,
-                "window": spectrum.window,
-                "zone_bits": spectrum.zone_bits,
-            },
-        }
-        arrays = {
-            "meta": np.frombuffer(_canonical(meta).encode(), dtype=np.uint8),
-            "run_start_addr": spectrum.run_start_addr,
-            "run_stride_bytes": spectrum.run_stride_bytes,
-            "run_length": spectrum.run_length,
-            "run_wb_next": spectrum.run_wb_next,
-            "run_wb_window": spectrum.run_wb_window,
-            "run_primer_age": spectrum.run_primer_age,
-            "run_kind": spectrum.run_kind,
-            "run_byte_uniform": spectrum.run_byte_uniform,
-            "run_gaps_ge": spectrum.run_gaps_ge,
-            "run_conc_ge": spectrum.run_conc_ge,
-        }
-        path = self.spectrum_path(digest)
-
-        def _write(tmp: str) -> None:
-            # Same open-handle trick as save_trace: the temp name ends in
-            # ".tmp" and numpy would append ".npz" to a bare path.
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(handle, **arrays)
-
-        started = time.perf_counter()
-        with get_tracer().span("store.save_spectrum", digest=digest[:12]):
-            self._write_atomic(path, _write)
-        self._emit(
-            "spectrum_saved",
-            digest=digest,
-            nbytes=self._size_of(path),
-            duration_s=time.perf_counter() - started,
-        )
-        return path
-
-    def load_spectrum(self, digest: str) -> Optional["MissSpectrum"]:
-        """The stored miss spectrum, or None on any defect."""
-        from repro.trace.spectrum import MissSpectrum
-
-        path = self.spectrum_path(digest)
-        started = time.perf_counter()
-        try:
-            with np.load(path) as archive:
-                meta = json.loads(bytes(archive["meta"]).decode())
-                if meta["spectrum_version"] != SPECTRUM_FORMAT_VERSION:
-                    self._emit(
-                        "spectrum_miss",
-                        digest=digest,
-                        duration_s=time.perf_counter() - started,
-                    )
-                    return None
-                scalars = meta["scalars"]
-                spectrum = MissSpectrum(
-                    block_bits=int(scalars["block_bits"]),
-                    n_events=int(scalars["n_events"]),
-                    demand_misses=int(scalars["demand_misses"]),
-                    writebacks=int(scalars["writebacks"]),
-                    ifetch_misses=int(scalars["ifetch_misses"]),
-                    lone_misses=int(scalars["lone_misses"]),
-                    seed_events=int(scalars["seed_events"]),
-                    alloc_events=int(scalars["alloc_events"]),
-                    run_start_addr=archive["run_start_addr"].astype(
-                        np.int64, copy=True
-                    ),
-                    run_stride_bytes=archive["run_stride_bytes"].astype(
-                        np.int64, copy=True
-                    ),
-                    run_length=archive["run_length"].astype(np.int64, copy=True),
-                    run_wb_next=archive["run_wb_next"].astype(np.int64, copy=True),
-                    run_wb_window=archive["run_wb_window"].astype(
-                        np.int64, copy=True
-                    ),
-                    run_primer_age=archive["run_primer_age"].astype(
-                        np.int64, copy=True
-                    ),
-                    run_kind=archive["run_kind"].astype(np.uint8, copy=True),
-                    run_byte_uniform=archive["run_byte_uniform"].astype(
-                        np.uint8, copy=True
-                    ),
-                    run_gaps_ge=archive["run_gaps_ge"].astype(np.int64, copy=True),
-                    run_conc_ge=archive["run_conc_ge"].astype(np.int64, copy=True),
-                    window=int(scalars["window"]),
-                    zone_bits=int(scalars["zone_bits"]),
-                )
-        except _TRACE_DEFECTS:
-            self._emit(
-                "spectrum_miss",
-                digest=digest,
-                duration_s=time.perf_counter() - started,
-            )
-            return None
-        self._emit(
-            "spectrum_hit",
-            digest=digest,
-            nbytes=self._size_of(path),
-            duration_s=time.perf_counter() - started,
-        )
-        return spectrum
+        self._emit(f"{kind}_hit", digest, len(data), time.perf_counter() - started)
+        return value
 
     # -- blob layer (fleet replication) ------------------------------------
     #
     # Workers in a sweep fleet replicate entries by digest: a worker that
     # misses locally fetches the raw on-disk bytes of an entry from the
-    # frontend (or a peer) over HTTP and ingests them verbatim.  Content
-    # addressing makes this trivially safe — the bytes under a digest are
-    # identical on every host that has them — and the usual robustness
-    # rule still applies on top: a corrupt transfer loads as a miss and
-    # is recomputed/overwritten locally.
-
-    #: Blob kinds the replication layer moves, mapped to path resolvers.
-    BLOB_KINDS = ("trace", "result", "profile", "spectrum")
-
-    def blob_path(self, kind: str, digest: str) -> Path:
-        """On-disk path of one entry, by blob kind."""
-        if kind == "trace":
-            return self.trace_path(digest)
-        if kind == "result":
-            return self.result_path(digest)
-        if kind == "profile":
-            return self.profile_path(digest)
-        if kind == "spectrum":
-            return self.spectrum_path(digest)
-        raise ValueError(f"unknown blob kind {kind!r}; known: {self.BLOB_KINDS}")
+    # frontend (or a peer) over HTTP and ingests them.  The bytes under a
+    # digest are identical on every host that has them, and the digest is
+    # an *input* key, so ingestion checks the one thing it can: the bytes
+    # must decode as the kind they claim to be.
 
     def has_blob(self, kind: str, digest: str) -> bool:
         """Cheap existence probe (no content validation)."""
-        return self.blob_path(kind, digest).is_file()
+        return self.path(kind, digest).is_file()
 
     def read_blob(self, kind: str, digest: str) -> Optional[bytes]:
         """The raw stored bytes of one entry, or None when absent.
@@ -865,122 +638,64 @@ class TraceStore:
         endpoint serves; readers never see a torn write because writers
         stage to ``*.tmp`` and rename.
         """
-        path = self.blob_path(kind, digest)
+        path = self.path(kind, digest)
         started = time.perf_counter()
         try:
             data = path.read_bytes()
         except OSError:
             return None
-        self._emit(
-            f"{kind}_blob_read",
-            digest=digest,
-            nbytes=len(data),
-            duration_s=time.perf_counter() - started,
-        )
+        self._emit(f"{kind}_blob_read", digest, len(data), time.perf_counter() - started)
         return data
 
     def ingest_blob(self, kind: str, digest: str, data: bytes) -> Path:
         """Install raw entry bytes fetched from a peer (atomic).
 
-        No validation happens here: the digest is the contract, and the
-        next ``load_*`` call validates format version and structure,
-        degrading a bad transfer to an ordinary miss.
+        Raises:
+            BlobRejected: the bytes do not decode with the kind's codec
+                (the same rule :meth:`get` applies).  Nothing is
+                installed, so the entry stays absent rather than
+                present-but-unloadable.
         """
-        path = self.blob_path(kind, digest)
+        path = self.path(kind, digest)
         started = time.perf_counter()
-        self._write_atomic(path, lambda tmp: Path(tmp).write_bytes(data))
-        self._emit(
-            f"{kind}_blob_ingested",
-            digest=digest,
-            nbytes=len(data),
-            duration_s=time.perf_counter() - started,
-        )
+        try:
+            CODECS[kind].decode(data)
+        except _DEFECTS as exc:
+            raise BlobRejected(
+                f"{kind} blob {digest} does not decode: {type(exc).__name__}: {exc}"
+            ) from exc
+        self._write_atomic(path, data)
+        elapsed = time.perf_counter() - started
+        self._emit(f"{kind}_blob_ingested", digest, len(data), elapsed)
         return path
 
     # -- maintenance -------------------------------------------------------
 
-    def __len__(self) -> int:
-        """Stored trace archives (results are not counted)."""
-        if not self._traces_dir.is_dir():
-            return 0
-        return sum(1 for _ in self._traces_dir.glob("*.npz"))
+    def _entries(self, kind: str) -> List[Path]:
+        directory = self._directory(kind)
+        if not directory.is_dir():
+            return []
+        return list(directory.glob(f"*{CODECS[kind].suffix}"))
 
-    def n_results(self) -> int:
-        if not self._results_dir.is_dir():
-            return 0
-        return sum(1 for _ in self._results_dir.glob("*.json"))
-
-    def n_profiles(self) -> int:
-        if not self._profiles_dir.is_dir():
-            return 0
-        return sum(1 for _ in self._profiles_dir.glob("*.npz"))
-
-    def n_spectra(self) -> int:
-        if not self._spectra_dir.is_dir():
-            return 0
-        return sum(1 for _ in self._spectra_dir.glob("*.npz"))
+    def count(self, kind: str) -> int:
+        """Stored entries of one kind (staging files are not counted)."""
+        return len(self._entries(kind))
 
     def prune(self) -> int:
-        """Delete entries whose format version is stale; return the count."""
+        """Delete every entry :meth:`get` would miss; return the count."""
         removed = 0
-        for path in self._traces_dir.glob("*.npz") if self._traces_dir.is_dir() else ():
-            try:
-                with np.load(path) as archive:
-                    meta = json.loads(bytes(archive["meta"]).decode())
-                    ok = meta["store_version"] == STORE_FORMAT_VERSION
-            except _TRACE_DEFECTS:
-                ok = False
-            if not ok:
-                path.unlink(missing_ok=True)
-                removed += 1
-        for path in (
-            self._results_dir.glob("*.json") if self._results_dir.is_dir() else ()
-        ):
-            try:
-                payload = json.loads(path.read_text())
-                if "mech_result_version" in payload:
-                    ok = payload["mech_result_version"] == MECH_RESULT_FORMAT_VERSION
-                else:
-                    ok = payload["result_version"] == RESULT_FORMAT_VERSION
-            except (OSError, KeyError, ValueError):
-                ok = False
-            if not ok:
-                path.unlink(missing_ok=True)
-                removed += 1
-        for path in (
-            self._profiles_dir.glob("*.npz") if self._profiles_dir.is_dir() else ()
-        ):
-            try:
-                with np.load(path) as archive:
-                    meta = json.loads(bytes(archive["meta"]).decode())
-                    ok = meta["profile_version"] == PROFILE_FORMAT_VERSION
-            except _TRACE_DEFECTS:
-                ok = False
-            if not ok:
-                path.unlink(missing_ok=True)
-                removed += 1
-        for path in (
-            self._spectra_dir.glob("*.npz") if self._spectra_dir.is_dir() else ()
-        ):
-            try:
-                with np.load(path) as archive:
-                    meta = json.loads(bytes(archive["meta"]).decode())
-                    ok = meta["spectrum_version"] == SPECTRUM_FORMAT_VERSION
-            except _TRACE_DEFECTS:
-                ok = False
-            if not ok:
-                path.unlink(missing_ok=True)
-                removed += 1
+        for kind, codec in CODECS.items():
+            for path in self._entries(kind):
+                try:
+                    codec.decode(path.read_bytes())
+                except _DEFECTS:
+                    path.unlink(missing_ok=True)
+                    removed += 1
         return removed
 
     def clear(self) -> None:
-        """Delete every stored trace, result, profile and spectrum."""
-        for directory in (
-            self._traces_dir,
-            self._results_dir,
-            self._profiles_dir,
-            self._spectra_dir,
-        ):
+        """Delete every stored entry of every kind."""
+        for directory in self._dirs.values():
             if directory.is_dir():
                 for path in directory.iterdir():
                     path.unlink(missing_ok=True)
@@ -994,18 +709,13 @@ class TraceStore:
         under an NTP step: a backward step makes a fresh temp file look
         ancient and reaps an in-flight writer's staging file.  Writing a
         probe file and reading its mtime measures the filesystem clock
-        directly; the probe's name shape (no ``.tmp``/``.npz``/``.json``
-        suffix) is invisible to every store glob.  Falls back to
-        ``time.time()`` when no layer directory exists yet or the probe
-        fails — in that degraded case there is nothing to reap anyway, or
-        the same OSError will skip the reaping loop too.
+        directly; the probe's name shape (no ``.tmp`` or entry suffix)
+        is invisible to every store glob.  Falls back to ``time.time()``
+        when no kind directory exists yet or the probe fails — in that
+        degraded case there is nothing to reap anyway, or the same
+        OSError will skip the reaping loop too.
         """
-        for directory in (
-            self._traces_dir,
-            self._results_dir,
-            self._profiles_dir,
-            self._spectra_dir,
-        ):
+        for directory in self._dirs.values():
             if not directory.is_dir():
                 continue
             try:
@@ -1026,7 +736,7 @@ class TraceStore:
 
         A writer that dies between ``mkstemp`` and the rename leaves its
         temp file behind.  Those files are invisible to every lookup (the
-        readers glob ``*.npz``/``*.json``) but accumulate on disk, so
+        readers glob each kind's suffix) but accumulate on disk, so
         opening a store sweeps out any old enough that their writer must
         be gone.  Live writers are protected by the age threshold — and a
         lost race with one merely re-orphans a file the next open reaps.
@@ -1039,12 +749,7 @@ class TraceStore:
         """
         removed = 0
         now = self._fs_now()
-        for directory in (
-            self._traces_dir,
-            self._results_dir,
-            self._profiles_dir,
-            self._spectra_dir,
-        ):
+        for directory in self._dirs.values():
             if not directory.is_dir():
                 continue
             for path in directory.glob("*.tmp"):
@@ -1059,21 +764,21 @@ class TraceStore:
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def _write_atomic(path: Path, write) -> None:
-        """Run ``write(tmp_path)`` then rename over ``path``.
+    def _write_atomic(path: Path, data: bytes) -> None:
+        """Write ``data`` to a staging file, then rename it over ``path``.
 
         The staging file lives beside the target as
-        ``<name>.<random>.tmp`` so readers' ``*.npz``/``*.json`` globs
-        never observe a torn write.  Concurrent writers race benignly:
-        content addressing means both produced identical bytes, so if the
-        rename itself fails but the target exists, the other writer won
-        and this write is complete by proxy.
+        ``<name>.<random>.tmp`` so readers' globs never observe a torn
+        write.  Concurrent writers race benignly: content addressing
+        means both produced identical bytes, so if the rename itself
+        fails but the target exists, the other writer won and this write
+        is complete by proxy.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        os.close(fd)
         try:
-            write(tmp)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             try:
                 os.replace(tmp, path)
             except OSError:

@@ -72,7 +72,7 @@ class TestStoreBackedProfiles:
         store = TraceStore(tmp_path)
         trace, _ = cache.get("buk", scale=0.5)
         computed = ensure_profiles(trace, store=store, digest="d1")
-        assert store.n_profiles() == 1
+        assert store.count("profile") == 1
         loaded = ensure_profiles(trace, store=store, digest="d1")
         for bs in PROFILE_BLOCK_SIZES:
             assert np.array_equal(loaded[bs].read_hist, computed[bs].read_hist)
@@ -88,7 +88,7 @@ class TestStoreBackedProfiles:
         store = TraceStore(tmp_path)
         stored_cache = MissTraceCache(store=store)
         first = min_matching_l2_size_analytic("buk", scale=0.5, cache=stored_cache)
-        assert store.n_profiles() == 1
+        assert store.count("profile") == 1
         # A fresh cache (new process, conceptually) loads the profile.
         second = min_matching_l2_size_analytic(
             "buk", scale=0.5, cache=MissTraceCache(store=store)

@@ -114,7 +114,7 @@ class TestCommands:
         capsys.readouterr()
         from repro.trace.store import TraceStore
 
-        assert TraceStore(store_dir).n_profiles() == 1
+        assert TraceStore(store_dir).count("profile") == 1
         assert main(args) == 0  # second run loads trace + profiles
 
     def test_check_replay_analytic(self, capsys):
@@ -154,8 +154,8 @@ class TestSweepCommand:
         from repro.trace.store import TraceStore
 
         store = TraceStore(store_dir)
-        assert len(store) == 2  # one trace per workload
-        assert store.n_results() == 4  # one per grid cell
+        assert store.count("trace") == 2  # one trace per workload
+        assert store.count("result") == 4  # one per grid cell
         # Second invocation is served from the store.
         assert main(self.ARGS + ["--trace-store", str(store_dir)]) == 0
         assert "store" in capsys.readouterr().out

@@ -160,20 +160,41 @@ class TestChunkWireFormat:
 
 class TestStoreBlobLayer:
     def test_ingest_read_round_trip(self, tmp_path):
-        store = TraceStore(tmp_path / "store")
+        import numpy as np
+
+        from repro.caches.cache import MissEventKind, MissTrace
+        from repro.sim.results import L1Summary
+        from repro.trace.store import BlobRejected
+
         digest = "a" * 64
+        source = TraceStore(tmp_path / "source")
+        kinds = np.full(10, int(MissEventKind.READ_MISS), dtype=np.uint8)
+        trace = MissTrace(np.arange(0, 640, 64, dtype=np.int64), kinds, 6)
+        summary = L1Summary(
+            accesses=10, misses=10, writebacks=0, ifetch_misses=0,
+            miss_rate=1.0, trace_length=10, data_set_bytes=640,
+        )
+        source.put("trace", digest, (trace, summary))
+        data = source.read_blob("trace", digest)
+        store = TraceStore(tmp_path / "store")
         assert not store.has_blob("trace", digest)
         assert store.read_blob("trace", digest) is None
-        store.ingest_blob("trace", digest, b"\x00\x01payload")
+        # bytes that do not decode as the kind are refused, not installed
+        with pytest.raises(BlobRejected):
+            store.ingest_blob("trace", digest, b"\x00\x01payload")
+        assert not store.has_blob("trace", digest)
+        store.ingest_blob("trace", digest, data)
         assert store.has_blob("trace", digest)
-        assert store.read_blob("trace", digest) == b"\x00\x01payload"
+        assert store.read_blob("trace", digest) == data
         # blob identity maps onto the ordinary store layout
-        assert store.blob_path("trace", digest) == store.trace_path(digest)
+        assert store.path("trace", digest) == tmp_path / "store" / "traces" / f"{digest}.npz"
 
     def test_unknown_kind_rejected(self, tmp_path):
         store = TraceStore(tmp_path / "store")
         with pytest.raises(ValueError):
-            store.blob_path("model", "a" * 64)
+            store.path("model", "a" * 64)
+        with pytest.raises(ValueError):
+            store.has_blob("model", "a" * 64)
 
     def test_blob_bytes_are_store_bytes(self, tmp_path):
         # A blob fetched from one store and ingested into another makes
@@ -188,7 +209,7 @@ class TestStoreBlobLayer:
         data = src.read_blob("trace", digest)
         assert data is not None
         dst.ingest_blob("trace", digest, data)
-        loaded = dst.load_trace(digest)
+        loaded = dst.get("trace", digest)
         assert loaded is not None
 
 

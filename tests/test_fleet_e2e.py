@@ -340,3 +340,60 @@ class TestRemoteStore:
         # the L1 simulation happened zero times on the worker
         assert counters.get("runner_trace_computed_total", 0) == 0
         assert counters.get("store_trace_hit_total", 0) >= 1
+
+    def test_garbage_blob_is_refused_not_installed(self, tmp_path):
+        """An origin that answers 200 with bytes that are not a trace: the
+        worker installs nothing, logs ``blob.miss``, and under 'require'
+        fails the cell as trace_unavailable instead of recomputing it."""
+        from repro.obs.log import log_ring
+
+        async def garbage(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            body = b"\x00 not a trace archive"
+            writer.write(
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n"
+                b"Content-Length: %d\r\nConnection: close\r\n\r\n%s" % (len(body), body)
+            )
+            await writer.drain()
+            writer.close()
+
+        cell = api.CellSpec(
+            key=("sweep", 4),
+            workload="sweep",
+            config=StreamConfig.jouppi(n_streams=4),
+            scale=SCALE,
+        )
+
+        async def scenario():
+            origin = await asyncio.start_server(garbage, "127.0.0.1", 0)
+            worker = await _start_worker(str(tmp_path / "worker"))
+            try:
+                response = await worker.service.handle_chunk(
+                    api.ChunkRequest(
+                        cells=(cell,),
+                        blob_origin="http://127.0.0.1:%d" % origin.sockets[0].getsockname()[1],
+                        fetch_policy="require",
+                        timeout_s=60,
+                    )
+                )
+                tkey, _ = worker.service._digests(cell)
+                has_blob = worker.service.store.has_blob("trace", tkey)
+                counters = worker.service.metrics.snapshot()["counters"]
+                return response, tkey, has_blob, counters
+            finally:
+                await worker.close()
+                origin.close()
+                await origin.wait_closed()
+
+        response, tkey, has_blob, counters = asyncio.run(scenario())
+        (result,) = response["cells"]
+        assert not result["ok"]
+        assert result["error"]["error"] == "trace_unavailable"
+        assert not has_blob
+        assert counters.get("runner_trace_computed_total", 0) == 0
+        assert any(
+            record["event"] == "blob.miss"
+            and record.get("error") == "BlobRejected"
+            and record.get("digest") == tkey[:12]
+            for record in log_ring().tail(50)
+        )

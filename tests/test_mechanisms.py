@@ -370,47 +370,55 @@ class TestRunnerAndSweep:
 
 class TestStore:
     def test_mech_result_round_trip(self, tmp_path):
-        from repro.trace.store import TraceStore, mech_result_digest
+        from repro.trace.store import TraceStore, result_digest
 
         store = TraceStore(tmp_path / "store")
         config = parse_mechanism_spec("victim:4+streams")
         trace = random_miss_trace(random.Random(2), 900)
         stats = replay_secondary(config, trace)
-        digest = mech_result_digest("trace-key", config)
-        assert store.load_mech_result(digest, config) is None
-        store.save_mech_result(digest, stats)
-        assert store.load_mech_result(digest, config) == stats
+        digest = result_digest("trace-key", config)
+        assert store.get("result", digest) is None
+        store.put("result", digest, stats)
+        assert store.get("result", digest) == stats
 
     def test_streams_kind_interchangeable_with_plain_results(self, tmp_path):
-        """Stream-mechanism results share digests and payloads with the
-        plain run_streams store path, so warm stores serve both."""
+        """A streams-kind mechanism and its bare StreamConfig share one
+        digest and one stored payload, so warm stores serve both, and
+        each cell still reports its own stats type."""
         from repro.mechanisms.streams import mech_stats_from_streams
         from repro.sim.vector import replay_streams
-        from repro.trace.store import TraceStore, mech_result_digest, result_digest
+        from repro.trace.store import TraceStore, cell_stats, result_digest
 
         store = TraceStore(tmp_path / "store")
         stream_config = StreamConfig.filtered()
         config = MechanismConfig.for_streams(stream_config)
         trace = random_miss_trace(random.Random(6), 700)
         stream_stats = replay_streams(stream_config, trace)
+        mech_stats = replay_secondary(config, trace)
 
         digest = result_digest("trace-key", stream_config)
-        assert mech_result_digest("trace-key", config) == digest
-        store.save_result(digest, stream_stats)
-        loaded = store.load_mech_result(digest, config)
-        assert loaded == mech_stats_from_streams(config, stream_stats)
+        assert result_digest("trace-key", config) == digest
+        store.put("result", digest, stream_stats)
+        loaded = store.get("result", digest)
+        assert cell_stats(config, loaded) == mech_stats_from_streams(config, stream_stats)
+        assert cell_stats(config, loaded) == mech_stats
+        # Written through the mechanism, the entry is the same bytes.
+        data = store.read_blob("result", digest)
+        store.put("result", digest, mech_stats)
+        assert store.read_blob("result", digest) == data
+        assert cell_stats(stream_config, store.get("result", digest)) == stream_stats
 
     def test_digests_distinguish_mechanisms(self):
-        from repro.trace.store import mech_result_digest
+        from repro.trace.store import result_digest
 
         digests = {
-            mech_result_digest("trace-key", parse_mechanism_spec(spec))
+            result_digest("trace-key", parse_mechanism_spec(spec))
             for spec in ZOO_SPECS
         }
         assert len(digests) == len(ZOO_SPECS)
-        assert mech_result_digest(
+        assert result_digest(
             "other-trace", parse_mechanism_spec("victim:4")
-        ) != mech_result_digest("trace-key", parse_mechanism_spec("victim:4"))
+        ) != result_digest("trace-key", parse_mechanism_spec("victim:4"))
 
 
 class TestWire:

@@ -102,7 +102,7 @@ class TestStoreIntegration:
         baseline = run_grid(tasks, jobs=1, cache=MissTraceCache())
         store = TraceStore(tmp_path)
         cold = run_grid(tasks, jobs=1, store=store)
-        assert store.n_results() == len(tasks)
+        assert store.count("result") == len(tasks)
         warm = run_grid(tasks, jobs=1, store=store)
         assert [r.streams for r in baseline] == [r.streams for r in cold]
         assert [r.streams for r in baseline] == [r.streams for r in warm]
@@ -112,8 +112,8 @@ class TestStoreIntegration:
         store = TraceStore(tmp_path)
         cache = MissTraceCache(store=store)
         run_grid(small_tasks(), jobs=1, cache=cache)
-        assert len(store) == len(WORKLOADS)
-        assert store.n_results() == len(small_tasks())
+        assert store.count("trace") == len(WORKLOADS)
+        assert store.count("result") == len(small_tasks())
 
     def test_parallel_workers_share_store(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -214,6 +214,87 @@ class TestWarmStoreFastPath:
         assert body_a["results"][0]["stats"] == body_b["results"][0]["stats"]
 
 
+    def test_repeat_mechanism_cell_is_one_store_hit(self, tmp_path):
+        """A mechanism cell's repeat is served by the fast path: the only
+        store traffic is one result hit, and nothing executes."""
+
+        async def scenario():
+            service = SimulationService(
+                ServiceConfig(
+                    jobs=1,
+                    store_root=str(tmp_path / "store"),
+                    result_cache_entries=0,
+                )
+            )
+            server = ServiceServer(service)
+            host, port = await server.start()
+            try:
+                payload = {
+                    "workload": "sweep",
+                    "scale": SCALE,
+                    "mechanism": "victim:4",
+                    "timeout_s": 120,
+                }
+                first = await arequest(host, port, "POST", "/v1/run", payload, timeout=60)
+                events = []
+                service.store.hooks = events.append
+                second = await arequest(host, port, "POST", "/v1/run", payload, timeout=60)
+                _, metrics = await arequest(host, port, "GET", "/metrics.json")
+                return first, second, events, metrics
+            finally:
+                await server.close()
+
+        (status_a, body_a), (status_b, body_b), events, metrics = asyncio.run(scenario())
+        assert status_a == 200 and status_b == 200
+        assert events == ["result_hit"]
+        counters = metrics["counters"]
+        assert counters["cells_executed_total"] == 1
+        assert counters["store_fastpath_hits_total"] == 1
+        assert body_a["results"][0]["mech"] == body_b["results"][0]["mech"]
+
+    def test_streams_mechanism_shares_the_stream_entry(self, tmp_path):
+        """A streams-kind mechanism cell and the bare StreamConfig cell with
+        the same stream config share one store entry; each keeps its own
+        wire shape ("mech" vs "stats")."""
+        from repro.mechanisms import MechanismConfig, mechanism_to_dict
+        from repro.trace.store import mech_stats_from_dict
+
+        stream_config = StreamConfig.jouppi(n_streams=4)
+        mechanism = mechanism_to_dict(MechanismConfig.for_streams(stream_config))
+
+        async def scenario():
+            service = SimulationService(
+                ServiceConfig(jobs=1, store_root=str(tmp_path / "store"))
+            )
+            server = ServiceServer(service)
+            host, port = await server.start()
+            try:
+                base = {"workload": "sweep", "scale": SCALE, "timeout_s": 120}
+                plain = await arequest(
+                    host, port, "POST", "/v1/run",
+                    dict(base, config={"n_streams": 4}), timeout=60,
+                )
+                mech = await arequest(
+                    host, port, "POST", "/v1/run",
+                    dict(base, mechanism=mechanism), timeout=60,
+                )
+                _, metrics = await arequest(host, port, "GET", "/metrics.json")
+                return plain, mech, service.store.count("result"), metrics
+            finally:
+                await server.close()
+
+        (status_a, plain), (status_b, mech), n_results, metrics = asyncio.run(scenario())
+        assert status_a == 200 and status_b == 200
+        assert n_results == 1
+        assert metrics["counters"]["cells_executed_total"] == 1
+        (plain_cell,), (mech_cell,) = plain["results"], mech["results"]
+        assert "stats" in plain_cell and "mech" not in plain_cell
+        assert "mech" in mech_cell and "stats" not in mech_cell
+        stats = stats_from_dict(plain_cell["stats"])
+        assert stats.config == stream_config
+        assert mech_stats_from_dict(mech_cell["mech"]).streams == stats
+
+
 class TestHttpSurface:
     def test_endpoints_and_error_mapping(self, tmp_path):
         async def scenario():

@@ -120,31 +120,31 @@ class TestSpectrumStore:
         store = TraceStore(tmp_path)
         trace = differ.random_miss_trace(random.Random(11), 800)
         spectrum = extract_spectrum(trace)
-        store.save_spectrum("deadbeef", spectrum)
-        loaded = store.load_spectrum("deadbeef")
+        store.put("spectrum", "deadbeef", spectrum)
+        loaded = store.get("spectrum", "deadbeef")
         assert loaded == spectrum
         assert np.array_equal(loaded.run_conc_ge, spectrum.run_conc_ge)
 
     def test_missing_is_none(self, tmp_path):
-        assert TraceStore(tmp_path).load_spectrum("nope") is None
+        assert TraceStore(tmp_path).get("spectrum", "nope") is None
 
     def test_stale_version_is_none(self, tmp_path, monkeypatch):
         store = TraceStore(tmp_path)
         spectrum = extract_spectrum(differ.random_miss_trace(random.Random(2), 300))
-        store.save_spectrum("abc", spectrum)
+        store.put("spectrum", "abc", spectrum)
         import repro.trace.store as store_mod
 
         monkeypatch.setattr(
             "repro.trace.store.SPECTRUM_FORMAT_VERSION",
             store_mod.SPECTRUM_FORMAT_VERSION + 1,
         )
-        assert store.load_spectrum("abc") is None
+        assert store.get("spectrum", "abc") is None
 
     def test_ensure_spectrum_uses_store(self, tmp_path, monkeypatch):
         store = TraceStore(tmp_path)
         trace = differ.random_miss_trace(random.Random(3), 400)
         first = ensure_spectrum(trace, store=store, digest="d1")
-        assert store.load_spectrum("d1") == first
+        assert store.get("spectrum", "d1") == first
 
         def boom(_):
             raise AssertionError("should have loaded from the store")
