@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench bench-quick bench-trend obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
+.PHONY: install test bench paper-bench bench-quick bench-trend obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -8,7 +8,20 @@ install:
 test:
 	pytest tests/
 
+# The layered benchmark (BENCHMARK.json): every workload once, untraced,
+# each printing its end-to-end metrics (under 2 min on a 2-core host).
+# Absolute rates vary between hosts: compare speed only A/B on one host.
+BENCH_WORKLOADS = sweep-cold sweep-warm table4 serve-zipf
 bench:
+	@for workload in $(BENCH_WORKLOADS); do \
+		echo "== $$workload"; \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 8 --trace 0 \
+			|| exit 1; \
+	done
+
+# Every paper exhibit and extension bench under benchmarks/, with the
+# paper-shape asserts each one makes (~10 min).
+paper-bench:
 	pytest benchmarks/ --benchmark-only
 
 # Reduced sweep through the parallel engine + trace store; asserts the

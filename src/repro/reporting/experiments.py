@@ -14,12 +14,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import StreamConfig
 from repro.core.lengths import LENGTH_BUCKETS, bucket_label
+from repro.core.prefetcher import StreamStats
 from repro.mechanisms import MechanismConfig, mechanism_label
 from repro.reporting import paper_data
 from repro.reporting.figures import render_series
 from repro.reporting.tables import render_table
 from repro.sim.compare import MatchResult, format_size, min_matching_l2_size
-from repro.sim.runner import MissTraceCache, default_cache, run_streams
+from repro.sim.parallel import SweepTask, grid_stats
+from repro.sim.runner import MissTraceCache, default_cache
 from repro.sim.sweep import sweep_czone_bits, sweep_n_streams
 from repro.trace.store import TraceStore
 from repro.workloads import (
@@ -56,6 +58,28 @@ __all__ = [
 #: but Figure 9 is not being swept (a value inside every benchmark's
 #: effective band).
 DEFAULT_CZONE_BITS = 19
+
+
+def _replay_grid(
+    names: Sequence[str],
+    configs: Dict[str, StreamConfig],
+    cache: Optional[MissTraceCache],
+    jobs: int,
+    store: Optional[TraceStore],
+) -> Dict[Tuple[str, str], StreamStats]:
+    """Every benchmark under every named config, as one sweep grid.
+
+    Keyed by ``(benchmark, config label)``.  Going through the parallel
+    engine lets ``jobs`` fan the cells out and a warm ``store`` serve
+    each one without a replay.
+    """
+    cache = cache if cache is not None else default_cache()
+    tasks = [
+        SweepTask(key=(name, label), workload=name, config=config)
+        for name in names
+        for label, config in configs.items()
+    ]
+    return grid_stats(tasks, jobs=jobs, cache=cache, store=store)
 
 
 # -- Table 1 ----------------------------------------------------------------
@@ -175,12 +199,16 @@ def table2(
     names: Sequence[str] = PAPER_BENCHMARKS,
     n_streams: int = 10,
     cache: Optional[MissTraceCache] = None,
+    jobs: int = 1,
+    store: Optional["TraceStore"] = None,
 ) -> List[Table2Row]:
     """Extra bandwidth of ordinary (unfiltered) streams."""
-    cache = cache if cache is not None else default_cache()
+    grid = _replay_grid(
+        names, {"jouppi": StreamConfig.jouppi(n_streams=n_streams)}, cache, jobs, store
+    )
     rows = []
     for name in names:
-        stats = run_streams(name, StreamConfig.jouppi(n_streams=n_streams), cache=cache)
+        stats = grid[name, "jouppi"]
         rows.append(
             Table2Row(
                 name=name,
@@ -208,14 +236,14 @@ def table3(
     names: Sequence[str] = PAPER_BENCHMARKS,
     n_streams: int = 10,
     cache: Optional[MissTraceCache] = None,
+    jobs: int = 1,
+    store: Optional["TraceStore"] = None,
 ) -> Dict[str, List[float]]:
     """Stream length distribution (% hits per bucket), ten streams."""
-    cache = cache if cache is not None else default_cache()
-    data = {}
-    for name in names:
-        stats = run_streams(name, StreamConfig.jouppi(n_streams=n_streams), cache=cache)
-        data[name] = stats.lengths.as_row()
-    return data
+    grid = _replay_grid(
+        names, {"jouppi": StreamConfig.jouppi(n_streams=n_streams)}, cache, jobs, store
+    )
+    return {name: grid[name, "jouppi"].lengths.as_row() for name in names}
 
 
 def render_table3(data: Dict[str, List[float]]) -> str:
@@ -250,17 +278,18 @@ def figure5(
     n_streams: int = 10,
     filter_entries: int = 16,
     cache: Optional[MissTraceCache] = None,
+    jobs: int = 1,
+    store: Optional["TraceStore"] = None,
 ) -> List[Figure5Row]:
     """Hit rate and EB with vs without the unit-stride filter."""
-    cache = cache if cache is not None else default_cache()
+    configs = {
+        "plain": StreamConfig.jouppi(n_streams=n_streams),
+        "filtered": StreamConfig.filtered(n_streams=n_streams, entries=filter_entries),
+    }
+    grid = _replay_grid(names, configs, cache, jobs, store)
     rows = []
     for name in names:
-        plain = run_streams(name, StreamConfig.jouppi(n_streams=n_streams), cache=cache)
-        filtered = run_streams(
-            name,
-            StreamConfig.filtered(n_streams=n_streams, entries=filter_entries),
-            cache=cache,
-        )
+        plain, filtered = grid[name, "plain"], grid[name, "filtered"]
         rows.append(
             Figure5Row(
                 name=name,
@@ -302,17 +331,18 @@ def figure8(
     n_streams: int = 10,
     czone_bits: int = DEFAULT_CZONE_BITS,
     cache: Optional[MissTraceCache] = None,
+    jobs: int = 1,
+    store: Optional["TraceStore"] = None,
 ) -> List[Figure8Row]:
     """Unit-stride-only vs constant-stride-detecting streams (filtered)."""
-    cache = cache if cache is not None else default_cache()
+    configs = {
+        "unit": StreamConfig.filtered(n_streams=n_streams),
+        "stride": StreamConfig.non_unit(n_streams=n_streams, czone_bits=czone_bits),
+    }
+    grid = _replay_grid(names, configs, cache, jobs, store)
     rows = []
     for name in names:
-        unit = run_streams(name, StreamConfig.filtered(n_streams=n_streams), cache=cache)
-        stride = run_streams(
-            name,
-            StreamConfig.non_unit(n_streams=n_streams, czone_bits=czone_bits),
-            cache=cache,
-        )
+        unit, stride = grid[name, "unit"], grid[name, "stride"]
         paper = paper_data.FIGURE8_GAINS.get(name)
         rows.append(
             Figure8Row(
@@ -682,6 +712,6 @@ EXHIBITS = {
 
 #: Exhibits whose drivers fan out through the parallel sweep engine and
 #: therefore accept ``jobs``/``store`` arguments.
-SWEEP_EXHIBITS = ("figure3", "figure9")
+SWEEP_EXHIBITS = ("figure3", "table2", "table3", "figure5", "figure8", "figure9")
 
 __all__ += ["EXHIBITS", "SWEEP_EXHIBITS"]

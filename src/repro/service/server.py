@@ -11,8 +11,9 @@ Request path (the shape every later scaling PR plugs into)::
 * The **admission queue** bounds concurrently admitted requests; beyond
   ``max_queue`` the service answers 429 immediately (retriable).
 * The **result LRU** and the **warm-store fast path** serve repeats
-  without touching the pool: once any request has materialised a cell,
-  its digest is either in memory or a single JSON read away.
+  without touching the pool: once any request — in this process or an
+  earlier one — has materialised a cell, its digest is either in memory
+  or one JSON read plus one L1-summary read away.
 * The **coalescer** keys in-flight work by the trace store's
   ``result_digest``, so N concurrent identical cells run once and the
   result fans out to every waiter.
@@ -75,9 +76,9 @@ from repro.service.queue import (
     with_deadline,
 )
 from repro.sim.parallel import SweepTask, TaskError, make_pool, run_grid
-from repro.sim.results import L1Summary, RunResult
+from repro.sim.results import RunResult
 from repro.sim.runner import MissTraceCache
-from repro.trace.store import TraceStore, cell_stats, result_digest, trace_digest
+from repro.trace.store import TraceStore, cell_stats, result_digest
 
 __all__ = ["ServiceConfig", "SimulationService", "ServiceServer", "run_server"]
 
@@ -224,12 +225,16 @@ class SimulationService:
             event: m.counter(f"store_{event}_total", f"TraceStore {event} events")
             for event in (
                 "trace_hit", "trace_miss", "trace_saved",
+                "trace_summary_hit", "trace_summary_miss",
                 "result_hit", "result_miss", "result_saved",
             )
         }
         self._hook_counters.update({
             event: m.counter(f"runner_{event}_total", f"MissTraceCache {event} events")
-            for event in ("trace_mem_hit", "trace_store_hit", "trace_computed")
+            for event in (
+                "trace_mem_hit", "trace_store_hit", "trace_computed",
+                "summary_mem_hit", "summary_store_hit",
+            )
         })
         self._c_chunks = m.counter("chunk_requests_total", "fleet chunks accepted")
         self._c_chunk_cells = m.counter("chunk_cells_total", "cells arrived in chunks")
@@ -255,7 +260,6 @@ class SimulationService:
         )
         self.coalescer = Coalescer()
         self._results = _LRU(config.result_cache_entries)
-        self._summaries = _LRU(4096)  # trace digest -> L1Summary
         self._pool = None
         self._batcher = MicroBatcher(
             self._run_batch,
@@ -364,48 +368,60 @@ class SimulationService:
         return await asyncio.to_thread(fn)
 
     def _digests(self, cell: api.CellSpec) -> Tuple[str, str]:
-        tkey = trace_digest(
-            cell.workload, cell.scale, cell.seed, self.l1_config, self.config.keep_pcs
-        )
+        tkey = self._cache.trace_key(cell.workload, cell.scale, cell.seed)
         return tkey, result_digest(tkey, cell.config)
 
     async def _compute_cell(
-        self, cell: api.CellSpec, tkey: str, digest: str
+        self, cell: api.CellSpec, digest: str
     ) -> Union[RunResult, TaskError]:
         """Materialise one cell: warm store, else batch to the pool."""
         if self.store is not None:
-            summary = self._summaries.get(tkey)
-            if summary is not None:
-                stats = await asyncio.to_thread(self.store.get, "result", digest)
-                if stats is not None:
-                    self._c_store_fast.inc()
-                    result = RunResult(
-                        workload=cell.workload,
-                        scale=cell.scale,
-                        seed=cell.seed,
-                        l1=summary,
-                        streams=stats,
-                        source="store",
-                    )
-                    self._results.put(digest, result)
-                    return result
+            result = await asyncio.to_thread(self._from_store, cell, digest)
+            if result is not None:
+                self._c_store_fast.inc()
+                self._results.put(digest, result)
+                return result
         result = await self._batcher.submit(cell.task())
         if isinstance(result, RunResult):
-            self._summaries.put(tkey, result.l1)
             self._results.put(digest, result)
         return result
+
+    def _from_store(self, cell: api.CellSpec, digest: str) -> Optional[RunResult]:
+        """The warm-store fast path (in a worker thread): the stored
+        result with its trace's L1 summary, or None when either misses.
+
+        The summary comes from memory or the trace archive's ``meta``
+        member (``compute=False``), so this path never decodes miss-trace
+        arrays and never simulates the L1: that stays the batcher's job.
+        """
+        stats = self.store.get("result", digest)
+        if stats is None:
+            return None
+        summary = self._cache.summary(
+            cell.workload, scale=cell.scale, seed=cell.seed, compute=False
+        )
+        if summary is None:
+            return None
+        return RunResult(
+            workload=cell.workload,
+            scale=cell.scale,
+            seed=cell.seed,
+            l1=summary,
+            streams=stats,
+            source="store",
+        )
 
     async def _one_cell(
         self, cell: api.CellSpec
     ) -> Tuple[api.CellSpec, Union[RunResult, TaskError]]:
-        tkey, digest = self._digests(cell)
+        _, digest = self._digests(cell)
         result = self._results.get(digest)
         if result is not None:
             self._c_result_cache.inc()
         else:
             future, coalesced = self.coalescer.admit(
                 digest,
-                lambda: asyncio.ensure_future(self._compute_cell(cell, tkey, digest)),
+                lambda: asyncio.ensure_future(self._compute_cell(cell, digest)),
                 trace_id=cell.trace_id or current_trace_id(),
             )
             if coalesced:

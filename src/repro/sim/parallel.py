@@ -11,7 +11,8 @@ over ``concurrent.futures.ProcessPoolExecutor`` workers:
   at all when the store is warm;
 * replayed :class:`~repro.core.prefetcher.StreamStats` are themselves
   memoised in the store (replays are deterministic), so a warm store
-  turns a whole figure sweep into pure loads;
+  turns a whole figure sweep into result loads plus one small L1-summary
+  read per trace — the miss-trace arrays are decoded only for a replay;
 * tasks are scheduled in chunks to amortise IPC, a failed cell returns a
   tagged :class:`TaskError` instead of killing the sweep, and results
   are assembled in task order regardless of completion order.
@@ -158,6 +159,10 @@ class SweepExecutionError(RuntimeError):
 def _run_one(task: SweepTask, cache: MissTraceCache) -> Union[RunResult, TaskError]:
     """Execute one cell against a (possibly store-backed) cache.
 
+    The stored result is looked up first: a hit needs only the trace's
+    L1 summary (:meth:`MissTraceCache.summary`), and the miss trace is
+    fetched or simulated only for a replay.
+
     Every cell — success or failure — is timed and tagged with the pid
     of the process that ran it, wrapped in a ``cell`` span, and counted
     in the engine registry under its outcome (``store``/``replayed``/
@@ -173,16 +178,18 @@ def _run_one(task: SweepTask, cache: MissTraceCache) -> Union[RunResult, TaskErr
         with bind_trace(task.trace_id), get_tracer().span(
             "cell", key=str(task.key), workload=name
         ):
-            miss_trace, summary = cache.get(task.workload, scale=scale, seed=seed)
             store = cache.store
             config = task.config
             stats: Optional[Union[StreamStats, MechStats]] = None
             if store is not None:
                 digest = result_digest(cache.trace_key(name, scale, seed), config)
                 stats = store.get("result", digest)
-            source = "store"
-            if stats is None:
+            if stats is not None:
+                source = "store"
+                summary = cache.summary(task.workload, scale=scale, seed=seed)
+            else:
                 source = "replayed"
+                miss_trace, summary = cache.get(task.workload, scale=scale, seed=seed)
                 mech = isinstance(config, MechanismConfig)
                 with get_tracer().span(
                     "mech.replay" if mech else "stream.replay", workload=name

@@ -7,14 +7,17 @@ tuple is computed once and cached in-process, then every stream-buffer or
 secondary-cache configuration replays the short miss trace.  This is what
 makes the parameter sweeps of Figures 3/5/8/9 cheap.
 
-Two extensions harden this for long benchmarking sessions:
+Three extensions harden this for long benchmarking sessions:
 
 * the in-process cache is LRU-bounded (``max_entries``) so sweeps over
   many (workload, scale, seed) tuples cannot grow memory without bound;
 * an optional :class:`~repro.trace.store.TraceStore` layers a persistent
   on-disk tier underneath, so repeated benchmark *processes* never
   recompute an L1 simulation either (see ``docs/api.md``, "Scaling
-  sweeps").
+  sweeps");
+* L1 summaries are kept apart from the traces
+  (:meth:`MissTraceCache.summary`), so a cell whose replay result is
+  already stored reads the small summary, never the miss-trace arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Hashable, Optional, Tuple, Union
 
 import time
 
@@ -93,11 +96,25 @@ class _Key:
     l1: CacheConfig
 
 
-class MissTraceCache:
-    """In-process cache of (workload x L1) miss traces.
+def _bounded_put(
+    entries: OrderedDict, key: Hashable, value: object, bound: Optional[int]
+) -> int:
+    """Insert as most recent, drop the oldest beyond ``bound``; return
+    how many were dropped (the caller holds the lock)."""
+    entries[key] = value
+    entries.move_to_end(key)
+    dropped = 0
+    while bound is not None and len(entries) > bound:
+        entries.popitem(last=False)
+        dropped += 1
+    return dropped
 
-    Thread safe: the entry map is guarded by a lock (the service
-    orchestrator's warm-store fast path calls :meth:`get` from worker
+
+class MissTraceCache:
+    """In-process cache of (workload x L1) miss traces and L1 summaries.
+
+    Thread safe: the entry maps are guarded by a lock (the service
+    orchestrator's warm-store fast path calls :meth:`summary` from worker
     threads).  Concurrent misses on the same key may compute the same
     trace twice — a benign race, since the simulation is deterministic
     and the second insert overwrites with identical data.  Create one per
@@ -112,20 +129,25 @@ class MissTraceCache:
         store: optional persistent :class:`~repro.trace.store.TraceStore`
             consulted on an in-process miss and populated on compute, so
             traces survive across processes and sessions.
-        max_entries: LRU bound on in-process entries (None = unbounded).
-            The default (:data:`DEFAULT_MAX_ENTRIES`) comfortably holds a
-            full paper sweep while keeping long multi-workload sessions
-            bounded; eviction only drops the in-memory copy — a store, if
-            configured, still holds the trace.
+        max_entries: LRU bound on in-process entries (None = unbounded),
+            applied to the traces, the summaries and the memoised trace
+            digests alike.  The default (:data:`DEFAULT_MAX_ENTRIES`)
+            comfortably holds a full paper sweep while keeping long
+            multi-workload sessions bounded; eviction only drops the
+            in-memory copy — a store, if configured, still holds the
+            trace.
         hooks: optional callback fired on each lookup with a typed
             :class:`~repro.obs.events.StoreEvent` (``str``-compatible,
-            so name-only hooks keep working) — ``trace_mem_hit``
-            (in-process LRU hit), ``trace_store_hit`` (persistent tier
-            hit) or ``trace_computed`` (fresh L1 simulation, with the
-            simulation wall time as the event duration).  The service
-            layer threads its metrics registry through here; hooks must
-            be cheap and must not raise.  Every event is also folded
-            into the process-global engine registry (``engine_runner_*``).
+            so name-only hooks keep working) — from :meth:`get`,
+            ``trace_mem_hit`` (in-process LRU hit), ``trace_store_hit``
+            (persistent tier hit) or ``trace_computed`` (fresh L1
+            simulation, with the simulation wall time as the event
+            duration); from :meth:`summary`, ``summary_mem_hit`` or
+            ``summary_store_hit`` (the store's summary read), both
+            served without decoding a trace.  The service layer threads
+            its metrics registry through here; hooks must be cheap and
+            must not raise.  Every event is also folded into the
+            process-global engine registry (``engine_runner_*``).
     """
 
     def __init__(
@@ -149,6 +171,10 @@ class MissTraceCache:
         # are interchangeable (None = resolve per call via REPRO_ENGINE).
         self.engine = engine
         self._entries: "OrderedDict[_Key, Tuple[MissTrace, L1Summary]]" = OrderedDict()
+        self._summaries: "OrderedDict[_Key, L1Summary]" = OrderedDict()
+        # (workload, scale, seed) -> trace digest.  The L1 config and
+        # keep_pcs are fixed per cache, so each digest is hashed once.
+        self._digests: "OrderedDict[Tuple[str, float, int], str]" = OrderedDict()
         self._lock = threading.Lock()
         self.evictions = 0
         self.store_hits = 0
@@ -207,6 +233,44 @@ class MissTraceCache:
         self._check_result(key, digest, result)
         return result
 
+    def summary(
+        self,
+        workload: Union[str, Workload],
+        scale: float = 1.0,
+        seed: int = 0,
+        compute: bool = True,
+    ) -> Optional[L1Summary]:
+        """L1 summary for a workload, decoding its miss trace only as a
+        last resort.
+
+        Lookup order: the in-process summaries (kept for every trace this
+        cache loaded or computed), then the store's summary read (the
+        trace archive's ``meta`` member alone, see
+        :meth:`TraceStore.get_summary`), then :meth:`get`.  With
+        ``compute=False`` the last step is skipped and a miss returns
+        None, so nothing is decoded or simulated.
+        """
+        name, scale, seed, _ = resolve_workload_ref(workload, scale, seed)
+        key = _Key(name, scale, seed, self.l1_config)
+        with self._lock:
+            summary = self._summaries.get(key)
+            if summary is not None:
+                self._summaries.move_to_end(key)
+        if summary is not None:
+            self._emit("summary_mem_hit")
+            return summary
+        if self.store is not None:
+            digest = self.trace_key(name, scale, seed)
+            summary = self.store.get_summary("trace", digest)
+            if summary is not None:
+                with self._lock:
+                    _bounded_put(self._summaries, key, summary, self.max_entries)
+                self._emit("summary_store_hit", digest=digest)
+                return summary
+        if not compute:
+            return None
+        return self.get(workload, scale=scale, seed=seed)[1]
+
     def _check_result(
         self,
         key: _Key,
@@ -236,26 +300,34 @@ class MissTraceCache:
         )
         if digest is not None:
             _inv.invariant(
-                digest == self.trace_key(key.workload, key.scale, key.seed),
+                digest
+                == trace_digest(
+                    key.workload, key.scale, key.seed, self.l1_config, self.keep_pcs
+                ),
                 "store digest is not reproducible from the cache key",
             )
 
     def trace_key(self, workload: str, scale: float = 1.0, seed: int = 0) -> str:
-        """The persistent-store digest this cache uses for a workload."""
-        return trace_digest(workload, scale, seed, self.l1_config, self.keep_pcs)
+        """The persistent-store digest this cache uses for a workload
+        (hashed once per ``(workload, scale, seed)``, then memoised)."""
+        memo = (workload, scale, seed)
+        digest = self._digests.get(memo)
+        if digest is None:
+            digest = trace_digest(workload, scale, seed, self.l1_config, self.keep_pcs)
+            with self._lock:
+                _bounded_put(self._digests, memo, digest, self.max_entries)
+        return digest
 
     def _insert(self, key: _Key, value: Tuple[MissTrace, L1Summary]) -> None:
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+            self.evictions += _bounded_put(self._entries, key, value, self.max_entries)
+            _bounded_put(self._summaries, key, value[1], self.max_entries)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._summaries.clear()
+            self._digests.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -19,7 +19,11 @@ table, :data:`CODECS`, says how each kind lives on disk:
 
 :meth:`TraceStore.put` and :meth:`TraceStore.get` are the one write and
 the one read path of every kind; spans, hook events, replication,
-counting, pruning and orphan reaping all follow from the table.
+counting, pruning and orphan reaping all follow from the table.  A kind
+whose codec can ``summarize`` also serves
+:meth:`TraceStore.get_summary`, which reads only the archive's small
+``meta`` member: a warm cell needs its trace's ``L1Summary``, not the
+miss-trace arrays.
 
 Robustness rule: a codec's ``decode`` raises on any defect — missing
 file, truncated archive, bad JSON, foreign shape, stale format version —
@@ -390,7 +394,6 @@ def _encode_trace(value: "Tuple[MissTrace, L1Summary]") -> bytes:
 
 def _decode_trace(data: bytes) -> "Tuple[MissTrace, L1Summary]":
     from repro.caches.cache import MissTrace
-    from repro.sim.results import L1Summary
 
     meta, arrays = _unpack_npz(data, "store_version", STORE_FORMAT_VERSION)
     pcs = arrays.get("pcs")
@@ -400,7 +403,14 @@ def _decode_trace(data: bytes) -> "Tuple[MissTrace, L1Summary]":
         int(meta["block_bits"]),
         None if pcs is None else _int64(pcs),
     )
-    return miss_trace, L1Summary(**meta["summary"])
+    return miss_trace, _summarize_trace(meta)
+
+
+def _summarize_trace(meta: dict) -> "L1Summary":
+    from repro.sim.results import L1Summary
+
+    _check_version(meta, "store_version", STORE_FORMAT_VERSION)
+    return L1Summary(**meta["summary"])
 
 
 def _encode_result(stats: "Union[StreamStats, MechStats]") -> bytes:
@@ -510,21 +520,48 @@ def _decode_spectrum(data: bytes) -> "MissSpectrum":
 
 
 class Codec(NamedTuple):
-    """How one artifact kind lives on disk: ``<root>/<directory>/<digest><suffix>``."""
+    """How one artifact kind lives on disk: ``<root>/<directory>/<digest><suffix>``.
+
+    ``summarize``, for npz kinds that have one, turns the archive's
+    ``meta`` member into the kind's summary (raising on a stale version
+    like ``decode``), so :meth:`TraceStore.get_summary` need not decode
+    the arrays.
+    """
 
     directory: str
     suffix: str
     encode: Callable[[Any], bytes]
     decode: Callable[[bytes], Any]
+    summarize: Optional[Callable[[dict], Any]] = None
 
 
 #: kind -> codec, for every kind the store holds.
 CODECS: Dict[str, Codec] = {
-    "trace": Codec("traces", ".npz", _encode_trace, _decode_trace),
+    "trace": Codec("traces", ".npz", _encode_trace, _decode_trace, _summarize_trace),
     "result": Codec("results", ".json", _encode_result, _decode_result),
     "profile": Codec("profiles", ".npz", _encode_profiles, _decode_profiles),
     "spectrum": Codec("spectra", ".npz", _encode_spectrum, _decode_spectrum),
 }
+
+
+def _read_entry(codec: Codec, path: Path) -> Tuple[Any, int]:
+    """``(value, bytes read)`` of a whole entry."""
+    data = path.read_bytes()
+    return codec.decode(data), len(data)
+
+
+def _read_summary(codec: Codec, path: Path) -> Tuple[Any, int]:
+    """``(summary, the member's stored size)`` from an npz entry's
+    ``meta`` member alone.
+
+    ``ZipFile.read`` checks that member's CRC; the other members are
+    neither read nor checked.
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("meta.npy")
+        member = archive.read(info)
+    meta = json.loads(bytes(np.lib.format.read_array(io.BytesIO(member))).decode())
+    return codec.summarize(meta), info.compress_size
 
 
 class BlobRejected(ValueError):
@@ -602,20 +639,47 @@ class TraceStore:
 
     def get(self, kind: str, digest: str) -> Optional[Any]:
         """The stored entry, decoded, or None on any defect (a miss)."""
+        return self._load(kind, digest, kind, _read_entry)
+
+    def get_summary(self, kind: str, digest: str) -> Optional[Any]:
+        """The stored entry's summary, or None on any defect (a miss).
+
+        Reads only the archive's ``meta`` member (see :class:`Codec`), so
+        a ``trace`` entry yields its ``L1Summary`` without decoding the
+        miss-trace arrays.  Those arrays go unchecked here: an entry whose
+        arrays are damaged still serves its summary, misses in
+        :meth:`get`, and is healed by that caller's rewrite.  Records a
+        ``store.load_<kind>_summary`` span and emits
+        ``<kind>_summary_hit``/``_miss``; a hit's ``nbytes`` is the
+        ``meta`` member's stored size.
+        """
+        codec = CODECS.get(kind)
+        if codec is None or codec.summarize is None:
+            raise ValueError(f"store kind {kind!r} has no summary")
+        return self._load(kind, digest, f"{kind}_summary", _read_summary)
+
+    def _load(
+        self,
+        kind: str,
+        digest: str,
+        name: str,
+        read: Callable[[Codec, Path], Tuple[Any, int]],
+    ) -> Optional[Any]:
+        """One read of one entry: a ``store.load_<name>`` span and a
+        ``<name>_hit``/``_miss`` event around ``read``."""
         path = self.path(kind, digest)
         started = time.perf_counter()
-        with get_tracer().span(f"store.load_{kind}", digest=digest[:12]):
+        with get_tracer().span(f"store.load_{name}", digest=digest[:12]):
             try:
-                data = path.read_bytes()
-                value = CODECS[kind].decode(data)
+                value, nbytes = read(CODECS[kind], path)
             except _DEFECTS:
                 # Missing, damaged, foreign or stale: the caller
                 # recomputes, and its rewrite heals the store.
                 value = None
         if value is None:
-            self._emit(f"{kind}_miss", digest, 0, time.perf_counter() - started)
+            self._emit(f"{name}_miss", digest, 0, time.perf_counter() - started)
             return None
-        self._emit(f"{kind}_hit", digest, len(data), time.perf_counter() - started)
+        self._emit(f"{name}_hit", digest, nbytes, time.perf_counter() - started)
         return value
 
     # -- blob layer (fleet replication) ------------------------------------

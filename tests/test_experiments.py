@@ -71,6 +71,29 @@ class TestFigure8:
         assert "Figure 8" in experiments.render_figure8(rows)
 
 
+class TestWarmStoreExhibits:
+    def test_second_figure8_replays_nothing(self, tmp_path):
+        from repro.obs.metrics import engine_registry
+        from repro.trace.store import TraceStore
+
+        store = TraceStore(tmp_path)
+
+        def figure8_and_counts():
+            rows = experiments.figure8(
+                names=SMALL, cache=MissTraceCache(store=store), store=store
+            )
+            return rows, engine_registry().snapshot()["counters"]
+
+        first, before = figure8_and_counts()
+        second, after = figure8_and_counts()
+        delta = {
+            name: after.get(name, 0) - before.get(name, 0)
+            for name in ("engine_cells_replayed_total", "engine_cells_store_total")
+        }
+        assert delta == {"engine_cells_replayed_total": 0, "engine_cells_store_total": 2}
+        assert second == first
+
+
 class TestFigure9:
     def test_sweep_shape(self, cache):
         data = experiments.figure9(

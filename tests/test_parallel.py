@@ -6,6 +6,9 @@ equality covers every counter, the bandwidth model, and the length
 histograms.  Small synthetic workloads keep the pool runs quick.
 """
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,72 @@ class TestStoreIntegration:
         warm = run_grid(small_tasks(), jobs=2, store=store)
         serial = run_grid(small_tasks(), jobs=1, cache=MissTraceCache())
         assert [r.streams for r in serial] == [r.streams for r in warm]
+
+
+def _damage_member(path, member):
+    """Flip bytes in the middle of one archive member's compressed data."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    data = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    middle = info.header_offset + 30 + name_len + extra_len + info.compress_size // 2
+    data[middle : middle + 8] = bytes(b ^ 0xFF for b in data[middle : middle + 8])
+    path.write_bytes(bytes(data))
+    return bytes(data)
+
+
+def _sweep_cell(n):
+    return SweepTask(
+        key=n, workload="sweep", config=StreamConfig.jouppi(n_streams=n), scale=SCALE
+    )
+
+
+class TestWarmCellsReadSummaries:
+    """A cell whose result is stored needs only its trace's L1 summary,
+    which comes from the archive's ``meta`` member; the miss-trace arrays
+    are decoded only for a replay."""
+
+    TASKS = [_sweep_cell(1), _sweep_cell(2)]
+
+    def fill(self, tmp_path):
+        store = TraceStore(tmp_path)
+        cold = run_grid(self.TASKS, store=store)
+        events = []
+        store.hooks = events.append
+        path = store.path("trace", MissTraceCache().trace_key("sweep", SCALE, 0))
+        return store, cold, events, path
+
+    def test_warm_cells_decode_no_trace(self, tmp_path):
+        store, cold, events, _ = self.fill(tmp_path)
+        warm = run_grid(self.TASKS, cache=MissTraceCache(store=store))
+        assert warm == cold and all(r.source == "store" for r in warm)
+        assert events == ["result_hit", "trace_summary_hit", "result_hit"]
+
+    def test_damaged_arrays_intact_meta(self, tmp_path):
+        store, cold, events, path = self.fill(tmp_path)
+        damaged = _damage_member(path, "addrs.npy")
+        assert store.get("trace", path.stem) is None  # the arrays do not decode
+        del events[:]
+        warm = run_grid(self.TASKS, cache=MissTraceCache(store=store))
+        assert warm == cold and all(r.source == "store" for r in warm)
+        assert events == ["result_hit", "trace_summary_hit", "result_hit"]
+        assert path.read_bytes() == damaged  # a warm read leaves the entry be
+        del events[:]
+        [result] = run_grid([_sweep_cell(3)], cache=MissTraceCache(store=store))
+        assert result.source == "replayed" and result.l1 == cold[0].l1
+        assert events == ["result_miss", "trace_miss", "trace_saved", "result_saved"]
+        assert store.get("trace", path.stem) is not None  # healed by the replay
+
+    def test_corrupt_archive_next_to_results_recomputes_and_heals(self, tmp_path):
+        store, cold, events, path = self.fill(tmp_path)
+        path.write_bytes(b"corrupt")
+        del events[:]
+        warm = run_grid(self.TASKS, cache=MissTraceCache(store=store))
+        assert warm == cold and all(r.source == "store" for r in warm)
+        assert events == [
+            "result_hit", "trace_summary_miss", "trace_miss", "trace_saved", "result_hit",
+        ]
+        assert store.get("trace", path.stem) is not None
 
 
 class TestGridStats:

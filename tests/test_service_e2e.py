@@ -252,6 +252,47 @@ class TestWarmStoreFastPath:
         assert counters["store_fastpath_hits_total"] == 1
         assert body_a["results"][0]["mech"] == body_b["results"][0]["mech"]
 
+    def test_restarted_service_answers_repeat_from_the_fast_path(self, tmp_path):
+        """A second service over the same store (a restart) answers a cell
+        the first one ran from the fast path: one result read and one
+        L1-summary read, no trace decode, nothing executed."""
+        payload = {
+            "workload": "sweep",
+            "scale": SCALE,
+            "config": {"n_streams": 4},
+            "timeout_s": 120,
+        }
+
+        async def one_process(events):
+            service = SimulationService(
+                ServiceConfig(jobs=1, store_root=str(tmp_path / "store"))
+            )
+            count = service.store.hooks
+            service.store.hooks = lambda event: (events.append(event), count(event))
+            server = ServiceServer(service)
+            host, port = await server.start()
+            try:
+                reply = await arequest(host, port, "POST", "/v1/run", payload, timeout=60)
+                _, metrics = await arequest(host, port, "GET", "/metrics.json")
+                return reply, metrics["counters"]
+            finally:
+                await server.close()
+
+        first_events, events = [], []
+        (status_a, body_a), _ = asyncio.run(one_process(first_events))
+        (status_b, body_b), counters = asyncio.run(one_process(events))
+        assert status_a == 200 and status_b == 200
+        assert "trace_saved" in first_events
+        assert events == ["result_hit", "trace_summary_hit"]
+        assert counters["cells_executed_total"] == 0
+        assert counters["store_fastpath_hits_total"] == 1
+        assert counters["runner_summary_store_hit_total"] == 1
+        assert counters["store_trace_summary_hit_total"] == 1
+        assert counters["runner_trace_computed_total"] == 0
+        (cell_a,), (cell_b,) = body_a["results"], body_b["results"]
+        assert (cell_a["stats"], cell_a["l1"]) == (cell_b["stats"], cell_b["l1"])
+        assert cell_b["source"] == "store"
+
     def test_streams_mechanism_shares_the_stream_entry(self, tmp_path):
         """A streams-kind mechanism cell and the bare StreamConfig cell with
         the same stream config share one store entry; each keeps its own

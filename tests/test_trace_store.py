@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -249,6 +250,18 @@ class TestStoreBackedCache:
         # The recompute healed the store entry.
         assert store.get("trace", digest) is not None
 
+    def test_summary_falls_back_to_get_unless_told_not_to(self, tmp_path):
+        store = TraceStore(tmp_path)
+        events = []
+        cache = MissTraceCache(store=store, hooks=events.append)
+        assert cache.summary("sweep", scale=0.25, compute=False) is None
+        assert store.count("trace") == 0 and events == []  # nothing simulated
+        summary = cache.summary("sweep", scale=0.25)
+        assert summary == simulate_l1(get_workload("sweep", scale=0.25))[1]
+        assert cache.summary("sweep", scale=0.25, compute=False) == summary
+        assert events == ["trace_computed", "summary_mem_hit"]
+        assert store.count("trace") == 1
+
 
 class TestConcurrentWriterHardening:
     def test_temp_files_invisible_to_lookups(self, tmp_path):
@@ -382,6 +395,82 @@ class TestCacheLruBound:
         with pytest.raises(ValueError):
             MissTraceCache(max_entries=0)
 
+    def test_summaries_share_the_bound(self, tmp_path):
+        store = TraceStore(tmp_path)
+        filler = MissTraceCache(store=store)
+        scales = (0.125, 0.25, 0.5)
+        expected = {scale: filler.get("sweep", scale=scale)[1] for scale in scales}
+        events = []
+        cache = MissTraceCache(store=store, max_entries=2, hooks=events.append)
+        for scale in scales + (0.5, 0.125):  # 0.125 was evicted by then
+            assert cache.summary("sweep", scale=scale) == expected[scale]
+        assert events == ["summary_store_hit"] * 3 + ["summary_mem_hit", "summary_store_hit"]
+        assert len(cache) == 0  # no miss trace was decoded
+
+    def test_trace_key_hashes_once_per_workload(self, monkeypatch):
+        import repro.sim.runner as runner
+
+        real = runner.trace_digest
+        calls = []
+        monkeypatch.setattr(
+            runner, "trace_digest", lambda *args: calls.append(args) or real(*args)
+        )
+        cache = MissTraceCache(keep_pcs=True, max_entries=2)
+        digest = cache.trace_key("sweep", 0.25, 1)
+        assert cache.trace_key("sweep", 0.25, 1) == digest
+        assert digest == real("sweep", 0.25, 1, cache.l1_config, True)
+        assert len(calls) == 1
+        cache.trace_key("sweep", 0.5, 1)
+        cache.trace_key("sweep", 1.0, 1)  # the memo is bounded too: evicts 0.25
+        assert cache.trace_key("sweep", 0.25, 1) == digest
+        assert len(calls) == 4
+
+
+class TestConcurrentSummaryReads:
+    def test_threads_share_bounded_summaries_and_digests(self, tmp_path):
+        """Eight threads read summaries and digests through one cache whose
+        bound forces evictions all the time; every read stays correct."""
+        import random
+        import sys
+        import threading
+
+        store = TraceStore(tmp_path)
+        filler = MissTraceCache(store=store)
+        scales = (0.125, 0.25, 0.375, 0.5)
+        expected = {
+            scale: (filler.get("sweep", scale=scale)[1], filler.trace_key("sweep", scale, 0))
+            for scale in scales
+        }
+        cache = MissTraceCache(store=store, max_entries=2)
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(300):
+                    scale = rng.choice(scales)
+                    got = (
+                        cache.summary("sweep", scale=scale, compute=False),
+                        cache.trace_key("sweep", scale, 0),
+                    )
+                    assert got == expected[scale]
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) == 0  # summaries only: no trace was decoded
+
 
 class TestOrphanClockSteps:
     """`clean_orphans` ages temp files against the *filesystem* clock, so
@@ -467,6 +556,20 @@ def _same(a, b) -> bool:
     if isinstance(a, dict):
         return type(b) is dict and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
     return a == b
+
+
+def _with_spans(call):
+    """``(call(), names of the spans it recorded)``, tracing on meanwhile."""
+    from repro.obs.spans import get_tracer, set_tracing
+
+    tracer = get_tracer()
+    tracer.clear()
+    set_tracing(True)
+    try:
+        return call(), [e["name"] for e in tracer.events()]
+    finally:
+        set_tracing(False)
+        tracer.clear()
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -557,6 +660,45 @@ class TestStoreContract:
         with pytest.raises(PermissionError):
             store.put(kind, "d2", value)  # a failed write cleans up too
         assert sorted(path.parent.iterdir()) == [path]
+
+    def test_summary_read_is_the_meta_member(self, tmp_path):
+        events = []
+        store = TraceStore(tmp_path, hooks=events.append)
+        summary = make_summary()
+        path = store.put("trace", "d1", (make_miss_trace(with_pcs=True), summary))
+        del events[:]
+        got, spans = _with_spans(lambda: store.get_summary("trace", "d1"))
+        assert got == summary
+        assert spans == ["store.load_trace_summary"]
+        assert events == ["trace_summary_hit"] and events[0].digest == "d1"
+        with zipfile.ZipFile(path) as archive:
+            meta_bytes = archive.getinfo("meta.npy").compress_size
+        assert events[0].nbytes == meta_bytes < path.stat().st_size // 4
+
+    @pytest.mark.parametrize("damage", ["missing", "garbage", "truncated", "empty", "stale"])
+    def test_summary_read_misses_on_every_defect(self, tmp_path, damage, monkeypatch):
+        events = []
+        store = TraceStore(tmp_path, hooks=events.append)
+        if damage == "stale":
+            store.put("trace", "d1", (make_miss_trace(), make_summary()))
+            monkeypatch.setattr("repro.trace.store.STORE_FORMAT_VERSION", 99)
+        elif damage != "missing":
+            path = store.put("trace", "d1", (make_miss_trace(), make_summary()))
+            data = path.read_bytes()
+            path.write_bytes(
+                {"garbage": b"not an entry", "truncated": data[: len(data) // 2],
+                 "empty": b""}[damage]
+            )
+        del events[:]
+        got, spans = _with_spans(lambda: store.get_summary("trace", "d1"))
+        assert got is None
+        assert spans == ["store.load_trace_summary"]
+        assert events == ["trace_summary_miss"] and events[0].nbytes == 0
+
+    @pytest.mark.parametrize("kind", ["result", "profile", "spectrum", "bogus"])
+    def test_summary_read_needs_a_summarizing_kind(self, tmp_path, kind):
+        with pytest.raises(ValueError, match="no summary"):
+            TraceStore(tmp_path).get_summary(kind, "d1")
 
     def test_ingest_checks_the_codec(self, tmp_path, case):
         from repro.trace.store import BlobRejected
