@@ -3,49 +3,62 @@
 Every check is driven by one integer seed: the seed generates a random
 trace and a random configuration, both sides simulate it, and any
 mismatch is reported as a :class:`Divergence` carrying the first
-diverging event and the seed that replays it
-(``repro check --replay l1:SEED`` / ``streams:SEED``).
+diverging quantity and the key that replays it
+(``repro check --replay STAGE:SEED``).
 
-Three stages:
+Each stage is one :class:`Stage` row: a name and seed salt, a case
+generator that also coerces the random configuration into the engine's
+support envelope, the production runners, and the reference they must
+all match — a golden model of :mod:`repro.check.oracle` /
+:mod:`repro.check.mech_oracle`, or for ``vector`` the scalar engines.
+One comparator walks every field of the result dataclasses against the
+reference's dict (or its dataclass), descending into nested results, so
+a counter added to ``StreamStats``/``MechStats``/``CacheStats``/... is
+compared without touching this module, and a field or oracle key the
+other side lacks is itself a divergence.  A row names the result fields
+that are its inputs rather than its outputs (``config``) and maps the
+oracle keys that are derived properties in production (the bandwidth
+numbers).
 
-* :func:`diff_l1` — a random access trace through a random cache
-  geometry via the production :func:`~repro.sim.runner.simulate_l1` path
+The rows, in corpus order:
+
+* ``l1`` — a random access trace through a random cache geometry via the
+  production :func:`~repro.sim.runner.simulate_l1` path on both engines
   (compression, fast paths, split I+D included) vs
   :func:`~repro.check.oracle.ref_simulate_l1`;
-* :func:`diff_streams` — a synthetic miss-event stream through a random
-  :class:`~repro.core.config.StreamConfig`, both per-event (first
-  diverging outcome) and via the bulk ``run()`` fast path, vs
+* ``streams`` — a synthetic miss-event stream through a random
+  :class:`~repro.core.config.StreamConfig`, per event (first diverging
+  outcome) and via the bulk ``run()`` path, vs
   :class:`~repro.check.oracle.RefStreamPrefetcher`;
-* :func:`diff_registry_workload` — a real registry workload at small
-  scale through the full L1 + streams pipeline vs both oracles;
-* :func:`diff_analytic` — the stack-distance profiler's fully-associative
-  LRU hit counts (:mod:`repro.analytic.profile`) vs driving a
-  one-set :class:`~repro.check.oracle.RefCache` with L2 semantics over
-  the same trace — Mattson's theorem, checked bit-for-bit;
-* :func:`diff_analytic_streams` — the miss-spectrum extraction
+* ``victim`` / ``misscache`` / ``hybrid`` — the production secondary
+  mechanisms of :mod:`repro.mechanisms`, per event and via
+  :func:`~repro.sim.vector.replay_secondary` (for
+  hybrids on both engines: the two-phase residual formulation proved
+  equal to the oracle's online composition), vs the golden models;
+* ``analytic`` — the stack-distance profiler's fully-associative LRU hit
+  counts (:mod:`repro.analytic.profile`) vs driving a one-set
+  :class:`~repro.check.oracle.RefCache` with L2 semantics over the same
+  trace — Mattson's theorem, checked bit-for-bit;
+* ``analytic-streams`` — the miss-spectrum extraction
   (:mod:`repro.trace.spectrum`) vs its naive O(n^2) reference,
-  bit-for-bit, and the closed-form stream-buffer model
-  (:mod:`repro.analytic.streams`) vs
-  :class:`~repro.check.oracle.RefStreamPrefetcher`, within each
-  prediction's declared error bound;
-* :func:`diff_vector` — the batch engines of :mod:`repro.sim.vector`
-  (L1, stream replay, sampled L2 probe) vs their scalar counterparts on
-  configurations coerced into the vector support envelope
-  (``repro check --replay vector:SEED``);
-* :func:`diff_victim` / :func:`diff_misscache` / :func:`diff_hybrid` —
-  the production secondary mechanisms of :mod:`repro.mechanisms`
-  (victim cache, miss cache, serial hybrid stacks) vs the golden models
-  of :mod:`repro.check.mech_oracle`, per-event and via the bulk
-  ``run()`` and :func:`~repro.sim.vector.replay_secondary` paths (for
-  hybrids the latter proves the two-phase residual formulation equal to
-  the oracle's online composition).
+  bit-for-bit, then the closed-form stream-buffer model
+  (:mod:`repro.analytic.streams`) vs the golden stream oracle, within
+  each prediction's declared error bound;
+* ``vector`` — the batch engines of :mod:`repro.sim.vector` (L1, stream
+  replay, sampled L2 probe) vs their scalar counterparts on
+  configurations coerced into the vector support envelope.
+
+:func:`diff_registry_workload` runs a real registry workload at small
+scale through the full L1 + streams pipeline vs both oracles; its
+divergences replay as ``registry:<name>@<scale>:<seed>``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+import reprlib
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,16 +72,18 @@ from repro.mechanisms import MechanismConfig, build_mechanism
 from repro.sim.runner import simulate_l1
 from repro.sim.vector import (
     replay_secondary,
+    replay_streams,
     vector_replay_streams,
     vector_simulate_cache,
     vector_simulate_secondary,
 )
 from repro.trace.events import Trace
-from repro.workloads.base import BenchmarkInfo, Workload, get_workload
+from repro.workloads.base import BenchmarkInfo, Workload, get_workload, workload_class
 
 __all__ = [
     "Divergence",
     "CheckReport",
+    "Stage",
     "random_trace",
     "random_cache_config",
     "random_stream_config",
@@ -86,9 +101,11 @@ __all__ = [
     "diff_vector",
     "diff_registry_workload",
     "check_seed",
+    "replay",
     "run_corpus",
     "DEFAULT_REGISTRY_WORKLOADS",
     "DEFAULT_STAGES",
+    "STAGE_FUNCTIONS",
 ]
 
 
@@ -97,12 +114,13 @@ class Divergence:
     """One optimized-vs-oracle mismatch, pinned to a replayable seed.
 
     Attributes:
-        stage: ``"l1"`` / ``"streams"`` / ``"registry:<name>"``.
+        stage: ``"l1"`` / ``"streams"`` / ``"registry:<name>@<scale>"``.
         seed: the seed that regenerates trace + config.
-        what: which quantity diverged (e.g. ``"event[17].kind"``).
+        what: which runner and quantity diverged
+            (e.g. ``"per-event: outcomes[17]"``).
         optimized: the optimized simulator's value, rendered.
         expected: the oracle's value, rendered.
-        context: extra detail (config repr, neighbouring events).
+        context: extra detail (configs of the case).
     """
 
     stage: str
@@ -120,7 +138,7 @@ class Divergence:
         ]
         if self.context:
             lines.append(f"  context:   {self.context}")
-        lines.append(f"  replay:    repro check --replay {self.stage.split(':')[0]}:{self.seed}")
+        lines.append(f"  replay:    repro check --replay {self.stage}:{self.seed}")
         return "\n".join(lines)
 
 
@@ -336,76 +354,207 @@ class _FixedWorkload(Workload):
         return self._fixed
 
 
-# -- comparisons ------------------------------------------------------------
+# -- the comparator -----------------------------------------------------------
 
 
-def _compare_events(
-    stage: str,
-    seed: int,
-    opt_addrs: Sequence[int],
-    opt_kinds: Sequence[int],
-    ref_events: Sequence[Tuple[int, int]],
-    context: str,
-) -> Optional[Divergence]:
-    """First diverging (addr, kind) event between the two streams."""
-    n = min(len(opt_addrs), len(ref_events))
-    for i in range(n):
-        ref_addr, ref_kind = ref_events[i]
-        if opt_addrs[i] != ref_addr or opt_kinds[i] != ref_kind:
-            window = ", ".join(
-                f"#{j}:({opt_addrs[j]:#x},{opt_kinds[j]})"
-                for j in range(max(0, i - 2), min(n, i + 3))
+class _Absent:
+    """Stands in for a field or key one side does not report."""
+
+    def __repr__(self) -> str:
+        return "<not reported>"
+
+
+_ABSENT = _Absent()
+
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxother = 160
+
+
+def _render(value: object) -> str:
+    if isinstance(value, np.ndarray):
+        return np.array2string(value, threshold=24)
+    return _REPR.repr(value)
+
+
+def _attribute(value: object, path: str) -> object:
+    for name in path.split("."):
+        value = getattr(value, name)
+    return value
+
+
+def _first_mismatch(
+    produced: object,
+    expected: object,
+    inputs: Sequence[str],
+    derived: Mapping[str, str],
+    path: str,
+) -> Optional[Tuple[str, object, object]]:
+    """``(path, produced, expected)`` of the first difference, or None.
+
+    A dataclass is walked field by field against the reference's dict
+    (or dataclass): every field but the ``inputs`` must be reported and
+    equal, and every reported key must be a field, an input, or an entry
+    of ``derived`` (oracle key -> dotted production attribute).  Mappings
+    must have equal keys; sequences are equal element by element.
+    """
+    if is_dataclass(produced):
+        names = [f.name for f in fields(produced) if f.name not in inputs]
+        if is_dataclass(expected):
+            expected = {f.name: getattr(expected, f.name) for f in fields(expected)}
+        elif not isinstance(expected, Mapping):
+            return path, produced, expected
+        for name in names:
+            found = _first_mismatch(
+                getattr(produced, name), expected.get(name, _ABSENT),
+                inputs, derived, f"{path}.{name}",
             )
-            return Divergence(
-                stage=stage,
-                seed=seed,
-                what=f"event[{i}]",
-                optimized=f"addr={opt_addrs[i]:#x} kind={opt_kinds[i]}",
-                expected=f"addr={ref_addr:#x} kind={ref_kind}",
-                context=f"{context}; optimized events around: {window}",
+            if found is not None:
+                return found
+        for key, value in expected.items():
+            if key in names or key in inputs:
+                continue
+            mine = _attribute(produced, derived[key]) if key in derived else _ABSENT
+            found = _first_mismatch(mine, value, inputs, derived, f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(produced, Mapping) and isinstance(expected, Mapping):
+        for key in list(produced) + [key for key in expected if key not in produced]:
+            found = _first_mismatch(
+                produced.get(key, _ABSENT), expected.get(key, _ABSENT),
+                inputs, derived, f"{path}[{key!r}]",
             )
-    if len(opt_addrs) != len(ref_events):
-        return Divergence(
-            stage=stage,
-            seed=seed,
-            what="event count",
-            optimized=str(len(opt_addrs)),
-            expected=str(len(ref_events)),
-            context=context,
+            if found is not None:
+                return found
+        return None
+    if isinstance(produced, (list, tuple)) and isinstance(expected, (list, tuple)):
+        if list(produced) == list(expected):
+            return None
+        for i, (mine, theirs) in enumerate(zip(produced, expected)):
+            if is_dataclass(mine) or isinstance(mine, Mapping):
+                found = _first_mismatch(mine, theirs, inputs, derived, f"{path}[{i}]")
+            else:
+                found = None if mine == theirs else (f"{path}[{i}]", mine, theirs)
+            if found is not None:
+                return found
+        if len(produced) != len(expected):
+            return f"len({path})", len(produced), len(expected)
+        return None
+    if isinstance(produced, np.ndarray) or isinstance(expected, np.ndarray):
+        same = np.array_equal(produced, expected)
+    else:
+        same = produced == expected
+    return None if same else (path, produced, expected)
+
+
+#: Case -> named parts of a result (``{"events": ..., "stats": ...}``).
+Runner = Callable[[Dict[str, object]], Dict[str, object]]
+
+#: Oracle keys that are properties of the production stream statistics.
+_BANDWIDTH = {
+    "useless_prefetches": "bandwidth.useless_prefetches",
+    "eb_measured": "bandwidth.eb_measured",
+    "eb_estimate": "bandwidth.eb_estimate",
+}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One differ stage: the row ``run_corpus``, ``--stages`` and
+    ``--replay`` dispatch through.
+
+    ``case`` turns the RNG seeded through ``salt`` and an event budget
+    (``events`` by default) into the stage's named inputs, already
+    coerced into the production engine's support envelope.  Every runner
+    reports some of the reference's parts, and each part it reports is
+    walked against the reference's (see :func:`_first_mismatch`).
+    ``check``, where set, is one more test on the case that is not an
+    equality, returning ``(what, optimized, expected)`` texts on
+    failure.  Calling a row with a seed runs it.
+    """
+
+    name: str
+    runners: Tuple[Tuple[str, Runner], ...]
+    reference: Runner
+    salt: int = 0
+    events: int = 2500
+    case: Optional[Callable[[random.Random, int], Dict[str, object]]] = None
+    inputs: Tuple[str, ...] = ("config",)
+    derived: Mapping[str, str] = field(default_factory=dict)
+    check: Optional[Callable[[Dict[str, object]], Optional[Tuple[str, str, str]]]] = None
+
+    def __call__(self, seed: int, n_events: Optional[int] = None) -> Optional[Divergence]:
+        rng = random.Random(seed * self.salt % (1 << 31))
+        case = self.case(rng, self.events if n_events is None else n_events)
+        return self.diff(case, seed, self.name)
+
+    def diff(self, case: Dict[str, object], seed: int, label: str) -> Optional[Divergence]:
+        """The first divergence of any runner from the reference on
+        ``case``, reported under the stage ``label``."""
+        context = "; ".join(
+            f"{key}={value}" for key, value in case.items()
+            if not isinstance(value, (Trace, MissTrace))
         )
-    return None
+        expected = self.reference(case)
+        for runner, run in self.runners:
+            for part, value in run(case).items():
+                found = _first_mismatch(
+                    value, expected.get(part, _ABSENT), self.inputs, self.derived, part
+                )
+                if found is not None:
+                    path, mine, theirs = found
+                    return Divergence(
+                        label, seed, f"{runner}: {path}", _render(mine), _render(theirs),
+                        context,
+                    )
+        failed = self.check(case) if self.check is not None else None
+        if failed is not None:
+            return Divergence(label, seed, *failed, context=context)
+        return None
 
 
-def _compare_counters(
-    stage: str,
-    seed: int,
-    pairs: Sequence[Tuple[str, object, object]],
-    context: str,
-) -> Optional[Divergence]:
-    for name, opt_value, ref_value in pairs:
-        if opt_value != ref_value:
-            return Divergence(
-                stage=stage,
-                seed=seed,
-                what=name,
-                optimized=repr(opt_value),
-                expected=repr(ref_value),
-                context=context,
-            )
-    return None
+# -- runners ------------------------------------------------------------------
+
+_WRITEBACK = int(MissEventKind.WRITEBACK)
+_IFETCH = int(MissEventKind.IFETCH_MISS)
+
+_OUTCOME_BY_LOOKUP = {
+    Lookup.HIT: "hit",
+    Lookup.MISS: "miss",
+    Lookup.IN_FLIGHT: "in_flight",
+}
 
 
-def diff_l1(seed: int, n_events: int = 3000) -> Optional[Divergence]:
-    """One seeded L1 differential check; None when bit-identical."""
-    rng = random.Random(seed * 2654435761 % (1 << 31))
-    config = random_cache_config(rng)
-    trace = random_trace(rng, n_events)
-    context = f"config={config}"
+def _events(miss_trace: MissTrace) -> List[Tuple[int, int]]:
+    return list(zip(miss_trace.addrs.tolist(), miss_trace.kinds.tolist()))
 
-    workload = _FixedWorkload(trace, seed=seed)
-    miss_trace, summary = simulate_l1(workload, config)
 
-    ref_events, ref_summary = oracle.ref_simulate_l1(
+def _drive(
+    miss_trace: MissTrace,
+    on_miss: Callable[[int, int], str],
+    on_writeback: Callable[[int], object],
+) -> List[Tuple[int, int, str]]:
+    """Feed a miss trace event by event; ``(addr, kind, outcome)`` each."""
+    outcomes = []
+    for addr, kind in _events(miss_trace):
+        if kind == _WRITEBACK:
+            on_writeback(addr)
+            outcomes.append((addr, kind, "writeback"))
+        else:
+            outcomes.append((addr, kind, on_miss(addr, kind)))
+    return outcomes
+
+
+def _reference_run(model, miss_trace: MissTrace) -> Dict[str, object]:
+    """A golden model's per-event outcomes and final statistics."""
+    addrs, kinds = miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
+    stats = model.run(addrs, kinds)
+    outcomes = stats.pop("outcomes")
+    return {"outcomes": list(zip(addrs, kinds, outcomes)), "stats": stats}
+
+
+def _ref_l1(trace: Trace, config: CacheConfig) -> Dict[str, object]:
+    events, summary = oracle.ref_simulate_l1(
         trace.addrs.tolist(),
         trace.kinds.tolist(),
         capacity=config.capacity,
@@ -416,312 +565,114 @@ def diff_l1(seed: int, n_events: int = 3000) -> Optional[Divergence]:
         write_allocate=config.write_allocate,
         seed=config.seed,
     )
-    divergence = _compare_events(
-        "l1",
-        seed,
-        miss_trace.addrs.tolist(),
-        miss_trace.kinds.tolist(),
-        ref_events,
-        context,
-    )
-    if divergence is not None:
-        return divergence
-    return _compare_counters(
-        "l1",
-        seed,
-        [
-            ("summary.accesses", summary.accesses, ref_summary["accesses"]),
-            ("summary.misses", summary.misses, ref_summary["misses"]),
-            ("summary.writebacks", summary.writebacks, ref_summary["writebacks"]),
-            ("summary.ifetch_misses", summary.ifetch_misses, ref_summary["ifetch_misses"]),
-        ],
-        context,
-    )
+    return {"events": events, "summary": summary}
 
 
-_OUTCOME_BY_LOOKUP = {
-    Lookup.HIT: "hit",
-    Lookup.MISS: "miss",
-    Lookup.IN_FLIGHT: "in_flight",
-}
+def _config_and_misses(make_config):
+    """Case generator: a random config, then a miss trace in its blocks."""
+
+    def case(rng: random.Random, n_events: int) -> Dict[str, object]:
+        config = make_config(rng)
+        return {
+            "config": config,
+            "miss_trace": random_miss_trace(rng, n_events, block_bits=config.block_bits),
+        }
+
+    return case
 
 
-def _run_optimized_streams_per_event(
-    config: StreamConfig, miss_trace: MissTrace
-) -> Tuple[List[str], "StreamPrefetcher"]:
-    """Drive the optimized prefetcher event by event, recording outcomes."""
-    prefetcher = StreamPrefetcher(config)
-    outcomes: List[str] = []
-    wb = int(MissEventKind.WRITEBACK)
-    ifetch = int(MissEventKind.IFETCH_MISS)
-    for addr, kind in zip(miss_trace.addrs.tolist(), miss_trace.kinds.tolist()):
-        if kind == wb:
-            prefetcher.handle_writeback(addr)
-            outcomes.append("writeback")
-        else:
-            result = prefetcher.handle_miss(addr, is_ifetch=kind == ifetch)
-            outcomes.append(_OUTCOME_BY_LOOKUP[result])
-    prefetcher.finalize()
-    return outcomes, prefetcher
+def _l1_case(rng: random.Random, n_events: int) -> Dict[str, object]:
+    return {"config": random_cache_config(rng), "trace": random_trace(rng, n_events)}
 
 
-def _stats_counter_pairs(stats, ref: dict) -> List[Tuple[str, object, object]]:
-    pairs = [
-        ("demand_misses", stats.demand_misses, ref["demand_misses"]),
-        ("stream_hits", stats.stream_hits, ref["stream_hits"]),
-        ("in_flight_matches", stats.in_flight_matches, ref["in_flight_matches"]),
-        ("ifetch_misses", stats.ifetch_misses, ref["ifetch_misses"]),
-        ("writebacks", stats.writebacks, ref["writebacks"]),
-        ("invalidations", stats.invalidations, ref["invalidations"]),
-        ("prefetches_issued", stats.prefetches_issued, ref["prefetches_issued"]),
-        ("prefetches_used", stats.prefetches_used, ref["prefetches_used"]),
-        ("allocations", stats.allocations, ref["allocations"]),
-        ("unit_filter_hits", stats.unit_filter_hits, ref["unit_filter_hits"]),
-        ("unit_filter_misses", stats.unit_filter_misses, ref["unit_filter_misses"]),
-        ("detector_hits", stats.detector_hits, ref["detector_hits"]),
-        (
-            "lengths.hits_by_bucket",
-            dict(stats.lengths.hits_by_bucket),
-            ref["lengths"]["hits_by_bucket"],
-        ),
-        (
-            "lengths.streams_by_bucket",
-            dict(stats.lengths.streams_by_bucket),
-            ref["lengths"]["streams_by_bucket"],
-        ),
-        (
-            "lengths.zero_length_streams",
-            stats.lengths.zero_length_streams,
-            ref["lengths"]["zero_length_streams"],
-        ),
-        # Bandwidth accounting: identical integer inputs must yield
-        # identical floats (same formula, same operand order).
-        ("bandwidth.useless", stats.bandwidth.useless_prefetches, ref["useless_prefetches"]),
-        ("bandwidth.eb_measured", stats.bandwidth.eb_measured, ref["eb_measured"]),
-        ("bandwidth.eb_estimate", stats.bandwidth.eb_estimate, ref["eb_estimate"]),
-    ]
-    return pairs
-
-
-def diff_streams(seed: int, n_events: int = 2000) -> Optional[Divergence]:
-    """One seeded stream-prefetcher differential check."""
-    rng = random.Random(seed * 2246822519 % (1 << 31))
-    config = random_stream_config(rng)
-    miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
-    context = f"config={config}"
-
-    opt_outcomes, prefetcher = _run_optimized_streams_per_event(config, miss_trace)
-    opt_stats = prefetcher.stats
-
-    ref = oracle.RefStreamPrefetcher(config).run(
-        miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
-    )
-    ref_outcomes = ref["outcomes"]
-    for i, (opt_outcome, ref_outcome) in enumerate(zip(opt_outcomes, ref_outcomes)):
-        if opt_outcome != ref_outcome:
-            return Divergence(
-                stage="streams",
-                seed=seed,
-                what=f"outcome[{i}] (addr={miss_trace.addrs[i]:#x}, kind={miss_trace.kinds[i]})",
-                optimized=opt_outcome,
-                expected=ref_outcome,
-                context=context,
-            )
-    divergence = _compare_counters(
-        "streams", seed, _stats_counter_pairs(opt_stats, ref), context
-    )
-    if divergence is not None:
-        return divergence
-
-    # The bulk run() path (demand-only fast path included) must agree
-    # with the per-event drive above.
-    bulk_stats = StreamPrefetcher(config).run(miss_trace)
-    return _compare_counters(
-        "streams",
-        seed,
-        [
-            (f"run() vs per-event: {name}", bulk, per_event)
-            for (name, per_event, _), (_, bulk, _) in zip(
-                _stats_counter_pairs(opt_stats, ref),
-                _stats_counter_pairs(bulk_stats, ref),
-            )
-        ],
-        context,
-    )
-
-
-def _run_optimized_mechanism_per_event(
-    config: MechanismConfig, miss_trace: MissTrace
-) -> Tuple[List[str], object]:
-    """Drive a production mechanism event by event, recording outcomes."""
-    mechanism = build_mechanism(config)
-    outcomes: List[str] = []
-    wb = int(MissEventKind.WRITEBACK)
-    for addr, kind in zip(miss_trace.addrs.tolist(), miss_trace.kinds.tolist()):
-        if kind == wb:
-            mechanism.handle_writeback(addr)
-            outcomes.append("writeback")
-        else:
-            outcomes.append("hit" if mechanism.handle_miss(addr, kind) else "miss")
-    return outcomes, mechanism.finalize()
-
-
-def _mech_counter_pairs(stats, ref: dict) -> List[Tuple[str, object, object]]:
-    pairs = [
-        (name, getattr(stats, name), ref[name]) for name in mech_oracle.MECH_COUNTERS
-    ]
-    if "member_hits" in ref:
-        pairs.append(("member_hits", list(stats.member_hits), ref["member_hits"]))
-    return pairs
-
-
-def _diff_mechanism(
-    stage: str, seed: int, config: MechanismConfig, miss_trace: MissTrace
-) -> Optional[Divergence]:
-    """Shared body of the mechanism-zoo differ stages.
-
-    Per-event outcomes vs the golden model, then the full counter
-    surface, then two production cross-checks: the bulk ``run()`` loop
-    and the :func:`~repro.sim.vector.replay_secondary` dispatcher (for
-    hybrids the latter is the two-phase residual formulation, so its
-    agreement with the oracle's *online* composition is the equivalence
-    proof for the composition rules in docs/mechanisms.md).
-    """
-    context = f"config={config}"
-    opt_outcomes, opt_stats = _run_optimized_mechanism_per_event(config, miss_trace)
-
-    ref = mech_oracle.build_ref_mechanism(config).run(
-        miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
-    )
-    for i, (opt_outcome, ref_outcome) in enumerate(zip(opt_outcomes, ref["outcomes"])):
-        if opt_outcome != ref_outcome:
-            return Divergence(
-                stage=stage,
-                seed=seed,
-                what=f"outcome[{i}] (addr={miss_trace.addrs[i]:#x}, kind={miss_trace.kinds[i]})",
-                optimized=opt_outcome,
-                expected=ref_outcome,
-                context=context,
-            )
-    divergence = _compare_counters(
-        stage, seed, _mech_counter_pairs(opt_stats, ref), context
-    )
-    if divergence is not None:
-        return divergence
-    if opt_stats.streams is not None and "streams" in ref:
-        divergence = _compare_counters(
-            stage,
-            seed,
-            [
-                (f"streams.{name}", opt_value, ref_value)
-                for name, opt_value, ref_value in _stats_counter_pairs(
-                    opt_stats.streams, ref["streams"]
-                )
-            ],
-            context,
+def _simulate_l1(engine: str) -> Runner:
+    def run(case):
+        miss_trace, summary = simulate_l1(
+            _FixedWorkload(case["trace"]), case["config"], engine=engine
         )
-        if divergence is not None:
-            return divergence
+        return {"events": _events(miss_trace), "summary": summary}
 
-    # The bulk run() loop must agree with the per-event drive above.
-    bulk_stats = build_mechanism(config).run(miss_trace)
-    divergence = _compare_counters(
-        stage,
-        seed,
-        [
-            (f"run() vs per-event: {name}", getattr(bulk_stats, name), getattr(opt_stats, name))
-            for name in mech_oracle.MECH_COUNTERS
-        ]
-        + [
-            (
-                "run() vs per-event: member_hits",
-                list(bulk_stats.member_hits),
-                list(opt_stats.member_hits),
-            )
+    return run
+
+
+def _streams_per_event(case) -> Dict[str, object]:
+    prefetcher = StreamPrefetcher(case["config"])
+    outcomes = _drive(
+        case["miss_trace"],
+        lambda addr, kind: _OUTCOME_BY_LOOKUP[
+            prefetcher.handle_miss(addr, is_ifetch=kind == _IFETCH)
         ],
-        context,
+        prefetcher.handle_writeback,
     )
-    if divergence is not None:
-        return divergence
+    prefetcher.finalize()
+    return {"outcomes": outcomes, "stats": prefetcher.stats}
 
-    # The store/sweep dispatcher — two-phase residual for hybrids.
-    replayed = replay_secondary(config, miss_trace, engine="scalar")
-    return _compare_counters(
-        stage,
-        seed,
-        [
-            (
-                f"replay_secondary vs per-event: {name}",
-                getattr(replayed, name),
-                getattr(opt_stats, name),
-            )
-            for name in mech_oracle.MECH_COUNTERS
-        ]
-        + [
-            (
-                "replay_secondary vs per-event: member_hits",
-                list(replayed.member_hits),
-                list(opt_stats.member_hits),
-            )
-        ],
-        context,
+
+def _mechanism_per_event(case) -> Dict[str, object]:
+    mechanism = build_mechanism(case["config"])
+    outcomes = _drive(
+        case["miss_trace"],
+        lambda addr, kind: "hit" if mechanism.handle_miss(addr, kind) else "miss",
+        mechanism.handle_writeback,
     )
+    return {"outcomes": outcomes, "stats": mechanism.finalize()}
 
 
-def diff_victim(seed: int, n_events: int = 2000) -> Optional[Divergence]:
-    """One seeded victim-cache differential check."""
-    rng = random.Random(seed * 3266489917 % (1 << 31))
-    config = random_victim_config(rng)
-    miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
-    return _diff_mechanism("victim", seed, config, miss_trace)
+def _replay_secondary(engine: str) -> Runner:
+    # The store/sweep dispatcher: the two-phase residual for hybrids.
+    return lambda case: {
+        "stats": replay_secondary(case["config"], case["miss_trace"], engine=engine)
+    }
 
 
-def diff_misscache(seed: int, n_events: int = 2000) -> Optional[Divergence]:
-    """One seeded miss-cache differential check."""
-    rng = random.Random(seed * 668265263 % (1 << 31))
-    config = random_misscache_config(rng)
-    miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
-    return _diff_mechanism("misscache", seed, config, miss_trace)
+#: The bulk ``run()`` loop is ``replay_secondary``'s scalar path for a
+#: victim or miss cache, and the per-event drive's calls for a hybrid.
+_MECHANISM_RUNNERS: Tuple[Tuple[str, Runner], ...] = (
+    ("per-event", _mechanism_per_event),
+    ("replay_secondary[scalar]", _replay_secondary("scalar")),
+)
 
 
-def diff_hybrid(seed: int, n_events: int = 2000) -> Optional[Divergence]:
-    """One seeded hybrid-stack differential check."""
-    rng = random.Random(seed * 374761393 % (1 << 31))
-    config = random_hybrid_config(rng)
-    miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
-    return _diff_mechanism("hybrid", seed, config, miss_trace)
+def _reference_mechanism(case) -> Dict[str, object]:
+    model = mech_oracle.build_ref_mechanism(case["config"])
+    return _reference_run(model, case["miss_trace"])
 
 
 #: Fully-associative capacities (in blocks) the analytic differ checks.
 #: Small enough that the oracle's O(assoc) scans stay cheap, spread wide
 #: enough to cover empty-, partial- and full-histogram prefixes.
 _ANALYTIC_CAPACITIES = (1, 2, 4, 16, 64, 256)
+_ANALYTIC_BLOCKS = (64, 128)
 
 
-def diff_analytic(seed: int, n_events: int = 2500) -> Optional[Divergence]:
-    """One seeded analytic-vs-oracle check of the locality profiler.
-
-    Profiles a random miss trace at 64B and 128B blocks, then drives a
-    fully-associative (one-set) LRU :class:`~repro.check.oracle.RefCache`
-    over the same trace with L2 semantics — write-backs install but do
-    not count — and demands bit-identical demand/hit counts at every
-    capacity in :data:`_ANALYTIC_CAPACITIES` (Mattson's theorem makes the
-    profile's prefix sums *exact*, so any mismatch is a bug).
-    """
-    from repro.analytic.model import fa_hit_count
+def _profile_hits(case) -> Dict[str, object]:
+    from repro.analytic import model
     from repro.analytic.profile import profile_miss_trace
 
-    rng = random.Random(seed * 3266489917 % (1 << 31))
-    miss_trace = random_miss_trace(rng, n_events)
-    profiles = profile_miss_trace(miss_trace, (64, 128))
+    profiles = profile_miss_trace(case["miss_trace"], _ANALYTIC_BLOCKS)
+    return {
+        "fa": {
+            (block_size, blocks): {
+                "demand_accesses": profile.demand_accesses,
+                "fa_hit_count": model.fa_hit_count(profile, blocks * block_size),
+            }
+            for block_size, profile in profiles.items()
+            for blocks in _ANALYTIC_CAPACITIES
+        }
+    }
 
-    addrs = miss_trace.addrs.tolist()
-    kinds = miss_trace.kinds.tolist()
-    for block_size, profile in profiles.items():
-        for capacity_blocks in _ANALYTIC_CAPACITIES:
+
+def _reference_fa_hits(case) -> Dict[str, object]:
+    """Demand and hit counts of a one-set LRU RefCache with L2 semantics:
+    write-backs install but do not count."""
+    addrs = case["miss_trace"].addrs.tolist()
+    kinds = case["miss_trace"].kinds.tolist()
+    counts = {}
+    for block_size in _ANALYTIC_BLOCKS:
+        for blocks in _ANALYTIC_CAPACITIES:
             ref = oracle.RefCache(
-                capacity=capacity_blocks * block_size,
-                assoc=capacity_blocks,
+                capacity=blocks * block_size,
+                assoc=blocks,
                 block_size=block_size,
                 policy="lru",
                 write_back=True,
@@ -729,8 +680,7 @@ def diff_analytic(seed: int, n_events: int = 2500) -> Optional[Divergence]:
                 seed=0,
             )
             sink: List[Tuple[int, int]] = []
-            demand = 0
-            hits = 0
+            demand = hits = 0
             for addr, kind in zip(addrs, kinds):
                 if kind == oracle.EV_WRITEBACK:
                     ref.access(addr, oracle.ACCESS_WRITE, sink)
@@ -741,108 +691,48 @@ def diff_analytic(seed: int, n_events: int = 2500) -> Optional[Divergence]:
                     addr, oracle.ACCESS_WRITE if is_write else oracle.ACCESS_READ, sink
                 ):
                     hits += 1
-            context = f"block_size={block_size} capacity_blocks={capacity_blocks}"
-            divergence = _compare_counters(
-                "analytic",
-                seed,
-                [
-                    ("demand_accesses", profile.demand_accesses, demand),
-                    ("fa_hit_count", fa_hit_count(profile, capacity_blocks * block_size), hits),
-                ],
-                context,
-            )
-            if divergence is not None:
-                return divergence
-    return None
+            counts[(block_size, blocks)] = {"demand_accesses": demand, "fa_hit_count": hits}
+    return {"fa": counts}
 
 
-def diff_analytic_streams(seed: int, n_events: int = 2000) -> Optional[Divergence]:
-    """One seeded check of the closed-form stream-buffer model.
+#: Events of the prefix the naive O(n^2) spectrum reference runs on.
+_SPECTRUM_PREFIX = 400
 
-    Two sub-checks share the seed.  First the one-pass spectrum
-    extraction (:func:`~repro.trace.spectrum.extract_spectrum`) is
-    compared bit-for-bit against the naive O(n^2) reference on a
-    truncated prefix of the trace — every scalar and every per-run array
-    must match exactly.  Then the full trace's spectrum feeds
-    :func:`~repro.analytic.streams.predict_streams` for a random
-    envelope configuration, and the predicted hit rate must sit within
-    the prediction's *declared* error bound of the golden
-    :class:`~repro.check.oracle.RefStreamPrefetcher` — the same contract
-    the analytic sweep path relies on when it prunes cells without
-    replaying them.
-    """
-    from repro.analytic.streams import predict_streams, stream_envelope_config
-    from repro.trace.spectrum import extract_spectrum, naive_spectrum
 
-    rng = random.Random(seed * 3266489917 % (1 << 31))
+def _analytic_streams_case(rng: random.Random, n_events: int) -> Dict[str, object]:
+    from repro.analytic.streams import stream_envelope_config
+
     config = stream_envelope_config(random_stream_config(rng))
     miss_trace = random_miss_trace(rng, n_events, block_bits=config.block_bits)
-
-    # -- spectrum extraction vs naive reference (truncated prefix) -----
-    prefix_len = min(400, len(miss_trace.addrs))
+    prefix_len = min(_SPECTRUM_PREFIX, len(miss_trace.addrs))
     prefix = MissTrace(
         addrs=miss_trace.addrs[:prefix_len],
         kinds=miss_trace.kinds[:prefix_len],
         block_bits=miss_trace.block_bits,
     )
-    fast = extract_spectrum(prefix)
-    naive = naive_spectrum(prefix)
-    if fast != naive:
-        for name in (
-            "n_events",
-            "demand_misses",
-            "writebacks",
-            "ifetch_misses",
-            "lone_misses",
-            "seed_events",
-            "alloc_events",
-        ):
-            fast_value = getattr(fast, name)
-            naive_value = getattr(naive, name)
-            if fast_value != naive_value:
-                return Divergence(
-                    stage="analytic-streams",
-                    seed=seed,
-                    what=f"spectrum.{name}",
-                    optimized=str(fast_value),
-                    expected=str(naive_value),
-                    context=f"prefix_len={prefix_len}",
-                )
-        for name in (
-            "run_start_addr",
-            "run_stride_bytes",
-            "run_length",
-            "run_wb_next",
-            "run_wb_window",
-            "run_primer_age",
-            "run_kind",
-            "run_byte_uniform",
-            "run_gaps_ge",
-            "run_conc_ge",
-        ):
-            fast_value = getattr(fast, name)
-            naive_value = getattr(naive, name)
-            if not np.array_equal(fast_value, naive_value):
-                return Divergence(
-                    stage="analytic-streams",
-                    seed=seed,
-                    what=f"spectrum.{name}",
-                    optimized=np.array2string(fast_value, threshold=24),
-                    expected=np.array2string(naive_value, threshold=24),
-                    context=f"prefix_len={prefix_len}",
-                )
-        return Divergence(
-            stage="analytic-streams",
-            seed=seed,
-            what="spectrum equality",
-            optimized=repr(fast),
-            expected=repr(naive),
-            context=f"prefix_len={prefix_len}",
-        )
+    return {"config": config, "prefix_len": prefix_len, "miss_trace": miss_trace,
+            "prefix": prefix}
 
-    # -- closed-form prediction vs golden oracle, within bound ---------
-    spectrum = extract_spectrum(miss_trace)
-    prediction = predict_streams(spectrum, config)
+
+def _spectrum_of_prefix(extractor: str) -> Runner:
+    def run(case):
+        from repro.trace import spectrum
+
+        return {"spectrum": getattr(spectrum, extractor)(case["prefix"])}
+
+    return run
+
+
+def _stream_model_within_bound(case) -> Optional[Tuple[str, str, str]]:
+    """The closed-form prediction must sit within its declared error bound
+    of the golden oracle — the contract the analytic sweep path relies on
+    when it prunes cells without replaying them."""
+    from repro.analytic import streams
+    from repro.trace import spectrum as spectrum_mod
+
+    config, miss_trace = case["config"], case["miss_trace"]
+    spectrum = spectrum_mod.extract_spectrum(miss_trace)
+    prediction = streams.predict_streams(spectrum, config)
     ref = oracle.RefStreamPrefetcher(config).run(
         miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
     )
@@ -850,104 +740,22 @@ def diff_analytic_streams(seed: int, n_events: int = 2000) -> Optional[Divergenc
     truth = ref["stream_hits"] / demand if demand else 0.0
     error = abs(prediction.hit_rate - truth)
     if error > prediction.bound:
-        return Divergence(
-            stage="analytic-streams",
-            seed=seed,
-            what="hit_rate out of declared bound",
-            optimized=f"{prediction.hit_rate:.6f} (bound {prediction.bound:.6f})",
-            expected=f"{truth:.6f} (|error| {error:.6f})",
-            context=f"config={config}",
+        return (
+            "hit_rate out of declared bound",
+            f"{prediction.hit_rate:.6f} (bound {prediction.bound:.6f})",
+            f"{truth:.6f} (|error| {error:.6f})",
         )
     if spectrum.demand_misses != demand:
-        return Divergence(
-            stage="analytic-streams",
-            seed=seed,
-            what="spectrum.demand_misses",
-            optimized=str(spectrum.demand_misses),
-            expected=str(demand),
-            context=f"config={config}",
-        )
+        return "spectrum.demand_misses", str(spectrum.demand_misses), str(demand)
     return None
 
 
-_STREAM_COUNTER_NAMES = (
-    "demand_misses",
-    "stream_hits",
-    "in_flight_matches",
-    "ifetch_misses",
-    "writebacks",
-    "invalidations",
-    "prefetches_issued",
-    "prefetches_used",
-    "allocations",
-    "unit_filter_hits",
-    "unit_filter_misses",
-    "detector_hits",
-)
-
-
-def diff_vector(seed: int, n_events: int = 2500) -> Optional[Divergence]:
-    """One seeded vector-vs-scalar engine check (:mod:`repro.sim.vector`).
-
-    Three sub-checks share the seed: the batch L1 engine vs the scalar
-    :class:`~repro.caches.cache.Cache` over a random write-back,
-    write-allocate geometry; the flat stream-replay engine vs
-    :meth:`~repro.core.prefetcher.StreamPrefetcher.run` over a random
-    non-partitioned window config; and the sampled vector L2 probe vs
-    :func:`~repro.caches.secondary.simulate_secondary`.  Random
-    configurations are coerced *into* each engine's support envelope —
-    anything outside it falls back to scalar in production, so only the
-    envelope needs differential coverage.  ``force=True`` keeps the
-    vector engines live even under ``REPRO_CHECK=1``, where they
-    normally stand down in favour of the instrumented scalar paths.
-    """
-    rng = random.Random(seed * 2246822507 % (1 << 31))
-
-    # -- L1: batch engine vs scalar Cache ------------------------------
+def _vector_case(rng: random.Random, n_events: int) -> Dict[str, object]:
+    # Write-back/write-allocate L1 and L2, and a non-partitioned window
+    # stream config: the vector engines' support envelope.  Anything
+    # outside it falls back to scalar in production.
     config = replace(random_cache_config(rng), write_back=True, write_allocate=True)
     trace = random_trace(rng, n_events)
-    context = f"l1 config={config}"
-    vectorized = vector_simulate_cache(config, trace, force=True)
-    if vectorized is None:
-        return Divergence(
-            stage="vector",
-            seed=seed,
-            what="l1 engine gate",
-            optimized="None (engine refused a supported configuration)",
-            expected="(miss_trace, stats)",
-            context=context,
-        )
-    vec_trace, vec_stats = vectorized
-    scalar = Cache(config)
-    ref_trace = scalar.simulate(trace)
-    divergence = _compare_events(
-        "vector",
-        seed,
-        vec_trace.addrs.tolist(),
-        vec_trace.kinds.tolist(),
-        list(zip(ref_trace.addrs.tolist(), ref_trace.kinds.tolist())),
-        context,
-    )
-    if divergence is not None:
-        return divergence
-    ref_stats = scalar.stats
-    divergence = _compare_counters(
-        "vector",
-        seed,
-        [
-            ("l1.accesses", vec_stats.accesses, ref_stats.accesses),
-            ("l1.hits", vec_stats.hits, ref_stats.hits),
-            ("l1.misses", vec_stats.misses, ref_stats.misses),
-            ("l1.read_misses", vec_stats.read_misses, ref_stats.read_misses),
-            ("l1.write_misses", vec_stats.write_misses, ref_stats.write_misses),
-            ("l1.writebacks", vec_stats.writebacks, ref_stats.writebacks),
-        ],
-        context,
-    )
-    if divergence is not None:
-        return divergence
-
-    # -- streams: flat replay engine vs StreamPrefetcher.run -----------
     stream_config = replace(
         random_stream_config(rng),
         partitioned=False,
@@ -956,172 +764,232 @@ def diff_vector(seed: int, n_events: int = 2500) -> Optional[Divergence]:
         stride_detector=StrideDetector.NONE,
     )
     miss_trace = random_miss_trace(rng, n_events, block_bits=stream_config.block_bits)
-    context = f"stream config={stream_config}"
-    vec_streams = vector_replay_streams(stream_config, miss_trace, force=True)
-    if vec_streams is None:
-        return Divergence(
-            stage="vector",
-            seed=seed,
-            what="stream engine gate",
-            optimized="None (engine refused a supported configuration)",
-            expected="StreamStats",
-            context=context,
-        )
-    ref_streams = StreamPrefetcher(stream_config).run(miss_trace)
-    pairs: List[Tuple[str, object, object]] = [
-        (f"streams.{name}", getattr(vec_streams, name), getattr(ref_streams, name))
-        for name in _STREAM_COUNTER_NAMES
-    ]
-    pairs += [
-        (
-            "streams.lengths.hits_by_bucket",
-            dict(vec_streams.lengths.hits_by_bucket),
-            dict(ref_streams.lengths.hits_by_bucket),
-        ),
-        (
-            "streams.lengths.streams_by_bucket",
-            dict(vec_streams.lengths.streams_by_bucket),
-            dict(ref_streams.lengths.streams_by_bucket),
-        ),
-        (
-            "streams.lengths.zero_length_streams",
-            vec_streams.lengths.zero_length_streams,
-            ref_streams.lengths.zero_length_streams,
-        ),
-    ]
-    divergence = _compare_counters("vector", seed, pairs, context)
-    if divergence is not None:
-        return divergence
-
-    # -- secondary: sampled vector probe vs simulate_secondary ---------
     l2_config = replace(random_cache_config(rng), write_back=True, write_allocate=True)
-    sample_every = rng.choice([1, 2, 4, 8])
-    context = f"l2 config={l2_config} sample_every={sample_every}"
-    vec_l2 = vector_simulate_secondary(
-        miss_trace, l2_config, sample_every=sample_every, force=True
-    )
-    if vec_l2 is None:
-        return Divergence(
-            stage="vector",
-            seed=seed,
-            what="secondary engine gate",
-            optimized="None (engine refused a supported configuration)",
-            expected="SecondaryResult",
-            context=context,
-        )
-    ref_l2 = simulate_secondary(miss_trace, l2_config, sample_every=sample_every)
-    return _compare_counters(
-        "vector",
-        seed,
-        [
-            ("l2.demand_accesses", vec_l2.demand_accesses, ref_l2.demand_accesses),
-            ("l2.demand_hits", vec_l2.demand_hits, ref_l2.demand_hits),
-            (
-                "l2.writebacks_received",
-                vec_l2.writebacks_received,
-                ref_l2.writebacks_received,
-            ),
-            ("l2.sampled_sets", vec_l2.sampled_sets, ref_l2.sampled_sets),
-        ],
-        context,
-    )
+    return {
+        "config": config,
+        "trace": trace,
+        "stream_config": stream_config,
+        "miss_trace": miss_trace,
+        "l2_config": l2_config,
+        "sample_every": rng.choice([1, 2, 4, 8]),
+    }
 
+
+def _vector_engines(case) -> Dict[str, object]:
+    # force=True keeps the engines live under REPRO_CHECK=1, where they
+    # normally stand down for the instrumented scalar paths; a None is an
+    # engine refusing a supported configuration.
+    l1 = vector_simulate_cache(case["config"], case["trace"], force=True)
+    return {
+        "l1": None if l1 is None else {"events": _events(l1[0]), "stats": l1[1]},
+        "streams": vector_replay_streams(case["stream_config"], case["miss_trace"], force=True),
+        "l2": vector_simulate_secondary(
+            case["miss_trace"], case["l2_config"], sample_every=case["sample_every"],
+            force=True,
+        ),
+    }
+
+
+def _scalar_engines(case) -> Dict[str, object]:
+    cache = Cache(case["config"])
+    events = _events(cache.simulate(case["trace"]))
+    return {
+        "l1": {"events": events, "stats": cache.stats},
+        "streams": StreamPrefetcher(case["stream_config"]).run(case["miss_trace"]),
+        "l2": simulate_secondary(
+            case["miss_trace"], case["l2_config"], sample_every=case["sample_every"]
+        ),
+    }
+
+
+# -- the stage table ----------------------------------------------------------
+
+diff_l1 = Stage(
+    name="l1",
+    salt=2654435761,
+    events=3000,
+    case=_l1_case,
+    runners=(("scalar", _simulate_l1("scalar")), ("vector", _simulate_l1("vector"))),
+    reference=lambda case: _ref_l1(case["trace"], case["config"]),
+    inputs=("data_set_bytes",),
+)
+
+diff_streams = Stage(
+    name="streams",
+    salt=2246822519,
+    events=2000,
+    case=_config_and_misses(random_stream_config),
+    runners=(
+        ("per-event", _streams_per_event),
+        # The bulk path, demand-only fast path included.
+        ("run()", lambda case: {
+            "stats": StreamPrefetcher(case["config"]).run(case["miss_trace"])
+        }),
+    ),
+    reference=lambda case: _reference_run(
+        oracle.RefStreamPrefetcher(case["config"]), case["miss_trace"]
+    ),
+    derived=_BANDWIDTH,
+)
+
+diff_victim = Stage(
+    name="victim",
+    salt=3266489917,
+    events=2000,
+    case=_config_and_misses(random_victim_config),
+    runners=_MECHANISM_RUNNERS,
+    reference=_reference_mechanism,
+    derived=_BANDWIDTH,
+)
+
+diff_misscache = replace(
+    diff_victim, name="misscache", salt=668265263,
+    case=_config_and_misses(random_misscache_config),
+)
+
+diff_hybrid = replace(
+    diff_victim, name="hybrid", salt=374761393,
+    case=_config_and_misses(random_hybrid_config),
+    runners=_MECHANISM_RUNNERS
+    + (("replay_secondary[vector]", _replay_secondary("vector")),),
+)
+
+diff_analytic = Stage(
+    name="analytic",
+    salt=3266489917,
+    events=2500,
+    case=lambda rng, n_events: {"miss_trace": random_miss_trace(rng, n_events)},
+    runners=(("profile", _profile_hits),),
+    reference=_reference_fa_hits,
+)
+
+diff_analytic_streams = Stage(
+    name="analytic-streams",
+    salt=3266489917,
+    events=2000,
+    case=_analytic_streams_case,
+    runners=(("extract_spectrum", _spectrum_of_prefix("extract_spectrum")),),
+    reference=_spectrum_of_prefix("naive_spectrum"),
+    check=_stream_model_within_bound,
+)
+
+diff_vector = Stage(
+    name="vector",
+    salt=2246822507,
+    events=2500,
+    case=_vector_case,
+    runners=(("vector", _vector_engines),),
+    reference=_scalar_engines,
+)
+
+
+#: Per-seed stage registry: name -> row.  ``--replay``, ``--stages`` and
+#: :func:`run_corpus` all dispatch through this table.
+STAGE_FUNCTIONS: Dict[str, Stage] = {
+    stage.name: stage
+    for stage in (
+        diff_l1,
+        diff_streams,
+        diff_victim,
+        diff_misscache,
+        diff_hybrid,
+        diff_analytic,
+        diff_analytic_streams,
+        diff_vector,
+    )
+}
+
+#: Stages a default corpus run exercises per seed, in order.
+DEFAULT_STAGES = tuple(STAGE_FUNCTIONS)
+
+
+# -- registry workloads ---------------------------------------------------------
 
 #: Small, structurally diverse slice of the registry for corpus runs.
 DEFAULT_REGISTRY_WORKLOADS = ("cgm", "mgrid", "trfd")
+
+#: Streams over the real miss trace: one filtered and one czone config.
+_REGISTRY_STREAMS = (
+    ("filtered", StreamConfig.filtered(n_streams=8)),
+    ("czone", StreamConfig.non_unit(n_streams=8, czone_bits=16)),
+)
+
+
+def _registry_pipeline(case) -> Dict[str, object]:
+    # The production default engine (REPRO_ENGINE, else vector): the
+    # flat-window stream engine where a config allows it, scalar otherwise.
+    miss_trace, summary = simulate_l1(case["workload"], case["config"])
+    parts = {"l1": {"events": _events(miss_trace), "summary": summary}}
+    for label, config in _REGISTRY_STREAMS:
+        parts[label] = replay_streams(config, miss_trace)
+    return parts
+
+
+def _reference_registry(case) -> Dict[str, object]:
+    parts = _ref_l1(case["workload"].trace(), case["config"])
+    addrs = [addr for addr, _ in parts["events"]]
+    kinds = [kind for _, kind in parts["events"]]
+    result = {"l1": parts}
+    for label, config in _REGISTRY_STREAMS:
+        stats = oracle.RefStreamPrefetcher(config).run(addrs, kinds)
+        del stats["outcomes"]
+        result[label] = stats
+    return result
+
+
+_REGISTRY = Stage(
+    name="registry",
+    runners=(("pipeline", _registry_pipeline),),
+    reference=_reference_registry,
+    inputs=("config", "data_set_bytes"),
+    derived=_BANDWIDTH,
+)
 
 
 def diff_registry_workload(
     name: str, scale: float = 0.05, seed: int = 0
 ) -> Optional[Divergence]:
     """Full-pipeline check of one real workload model at small scale."""
-    stage = f"registry:{name}"
-    workload = get_workload(name, scale=scale, seed=seed)
-    config = CacheConfig.paper_l1()
-    miss_trace, summary = simulate_l1(workload, config)
-
-    trace = workload.trace()
-    ref_events, ref_summary = oracle.ref_simulate_l1(
-        trace.addrs.tolist(),
-        trace.kinds.tolist(),
-        capacity=config.capacity,
-        assoc=config.assoc,
-        block_size=config.block_size,
-        policy=config.policy,
-        write_back=config.write_back,
-        write_allocate=config.write_allocate,
-        seed=config.seed,
-    )
-    context = f"workload={name} scale={scale} seed={seed}"
-    divergence = _compare_events(
-        stage,
-        seed,
-        miss_trace.addrs.tolist(),
-        miss_trace.kinds.tolist(),
-        ref_events,
-        context,
-    )
-    if divergence is not None:
-        return divergence
-    divergence = _compare_counters(
-        stage,
-        seed,
-        [
-            ("summary.misses", summary.misses, ref_summary["misses"]),
-            ("summary.writebacks", summary.writebacks, ref_summary["writebacks"]),
-        ],
-        context,
-    )
-    if divergence is not None:
-        return divergence
-
-    # Streams over the real miss trace, one filtered and one czone config.
-    for stream_config in (
-        StreamConfig.filtered(n_streams=8),
-        StreamConfig.non_unit(n_streams=8, czone_bits=16),
-    ):
-        opt_stats = StreamPrefetcher(stream_config).run(miss_trace)
-        ref = oracle.RefStreamPrefetcher(stream_config).run(
-            miss_trace.addrs.tolist(), miss_trace.kinds.tolist()
-        )
-        divergence = _compare_counters(
-            stage,
-            seed,
-            _stats_counter_pairs(opt_stats, ref),
-            f"{context}; stream config={stream_config}",
-        )
-        if divergence is not None:
-            return divergence
-    return None
+    case = {
+        "workload": get_workload(name, scale=scale, seed=seed),
+        "config": CacheConfig.paper_l1(),
+    }
+    return _REGISTRY.diff(case, seed, f"registry:{name}@{scale}")
 
 
 # -- corpus driver ----------------------------------------------------------
 
 
-#: Per-seed stage registry: name -> diff function.  ``--replay`` and the
-#: corpus driver both dispatch through this table.
-STAGE_FUNCTIONS = {
-    "l1": diff_l1,
-    "streams": diff_streams,
-    "victim": diff_victim,
-    "misscache": diff_misscache,
-    "hybrid": diff_hybrid,
-    "analytic": diff_analytic,
-    "analytic-streams": diff_analytic_streams,
-    "vector": diff_vector,
-}
+def replay(key: str, n_events: Optional[int] = None) -> Optional[Divergence]:
+    """Re-run what a divergence's replay key names: ``STAGE:SEED`` for a
+    seeded stage, ``registry:<name>@<scale>:<seed>`` for a registry one.
 
-#: Stages a default corpus run exercises per seed, in order.
-DEFAULT_STAGES = (
-    "l1",
-    "streams",
-    "victim",
-    "misscache",
-    "hybrid",
-    "analytic",
-    "analytic-streams",
-    "vector",
-)
+    Raises:
+        ValueError: for a malformed key, an unknown stage or an unknown
+            registry workload.
+    """
+    stage, _, seed_text = key.rpartition(":")
+    try:
+        seed = int(seed_text)
+    except ValueError:
+        raise ValueError(f"bad replay key {key!r}; expected STAGE:SEED") from None
+    if stage.startswith("registry:"):
+        name, _, scale_text = stage[len("registry:"):].partition("@")
+        try:
+            workload_class(name)
+            scale = float(scale_text)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"bad replay key {key!r}; expected registry:<workload>@<scale>:<seed>"
+            ) from None
+        return diff_registry_workload(name, scale=scale, seed=seed)
+    if stage not in STAGE_FUNCTIONS:
+        raise ValueError(
+            f"unknown replay stage {stage!r}; use one of "
+            + ", ".join(sorted(STAGE_FUNCTIONS))
+            + ", registry:<name>@<scale>"
+        )
+    return STAGE_FUNCTIONS[stage](seed, n_events=n_events)
 
 
 def check_seed(

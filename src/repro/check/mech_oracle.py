@@ -29,8 +29,9 @@ __all__ = [
     "MECH_COUNTERS",
 ]
 
-#: Counter names every reference mechanism reports (the comparison
-#: surface against ``MechStats``).
+#: Counter names every reference mechanism reports; with
+#: ``member_hits`` (front to back, empty unless a hybrid) and ``streams``
+#: (the stream member's statistics, or None) they are its whole report.
 MECH_COUNTERS = (
     "demand_misses",
     "hits",
@@ -74,7 +75,7 @@ class _RefMechanism:
         return stats
 
     def finalize(self) -> Dict[str, object]:
-        return dict(self.counters)
+        return {**self.counters, "member_hits": [], "streams": None}
 
     def _demand(self, addr: int, block: int, kind: int) -> bool:
         raise NotImplementedError
@@ -176,6 +177,7 @@ class _RefStreamMember:
     def finalize(self) -> Dict[str, object]:
         totals = self.prefetcher.finalize()
         stats = {name: 0 for name in MECH_COUNTERS}
+        stats["member_hits"] = []
         stats["demand_misses"] = totals["demand_misses"]
         stats["hits"] = totals["stream_hits"]
         stats["ifetch_misses"] = totals["ifetch_misses"]
@@ -216,7 +218,7 @@ class RefHybridStack(_RefMechanism):
             member.handle_event(addr, EV_WRITEBACK)
 
     def finalize(self) -> Dict[str, object]:
-        stats = dict(self.counters)
+        stats = super().finalize()
         member_stats = [member.finalize() for member in self.members]
         for name in (
             "invalidations",
@@ -229,7 +231,7 @@ class RefHybridStack(_RefMechanism):
             stats[name] = sum(ms[name] for ms in member_stats)
         stats["member_hits"] = [ms["hits"] for ms in member_stats]
         for ms in member_stats:
-            if "streams" in ms:
+            if ms["streams"] is not None:
                 stats["streams"] = ms["streams"]
         return stats
 

@@ -182,7 +182,9 @@ def ref_simulate_l1(
     Data accesses go to a D-cache built from the given parameters;
     instruction fetches (if any) to an I-cache with the same geometry and
     ``seed + 1``, their misses labelled :data:`EV_IFETCH_MISS`.  Returns
-    the ordered ``(addr, kind)`` miss-event list plus a summary dict.
+    the ordered ``(addr, kind)`` miss-event list plus the primary cache's
+    summary: references, demand misses, dirty evictions, ifetch misses,
+    the miss rate and the trace length.
     """
     dcache = RefCache(
         capacity, assoc, block_size, policy, write_back, write_allocate, seed
@@ -203,14 +205,15 @@ def ref_simulate_l1(
                 events[before] = (addr_ev, EV_IFETCH_MISS)
         else:
             dcache.access(addr, kind, events)
+    accesses = dcache.accesses + icache.accesses
+    misses = dcache.misses + icache.misses
     summary = {
-        "accesses": dcache.accesses + icache.accesses,
-        "hits": dcache.hits + icache.hits,
-        "misses": dcache.misses + icache.misses,
-        "read_misses": dcache.read_misses + icache.read_misses,
-        "write_misses": dcache.write_misses + icache.write_misses,
+        "accesses": accesses,
+        "misses": misses,
         "writebacks": dcache.writebacks + icache.writebacks,
         "ifetch_misses": ifetch_misses,
+        "miss_rate": misses / accesses if accesses else 0.0,
+        "trace_length": len(addrs),
     }
     return events, summary
 

@@ -359,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay",
         default=None,
         metavar="STAGE:SEED",
-        help="re-run one diverging stage (l1:SEED, streams:SEED, "
-        "victim:SEED, misscache:SEED, hybrid:SEED, analytic:SEED or "
-        "vector:SEED) and exit",
+        help="re-run one diverging stage, as its divergence prints it "
+        "(e.g. hybrid:SEED, or registry:WORKLOAD@SCALE:SEED), and exit",
     )
 
     obs = sub.add_parser(
@@ -1088,23 +1087,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import differ
 
     if args.replay:
-        stage, _, seed_text = args.replay.partition(":")
         try:
-            seed = int(seed_text)
-        except ValueError:
-            print(f"bad --replay {args.replay!r}; expected STAGE:SEED", file=sys.stderr)
+            divergence = differ.replay(args.replay, n_events=args.events)
+        except ValueError as exc:
+            print(f"--replay: {exc}", file=sys.stderr)
             return 2
-        diff_fn = differ.STAGE_FUNCTIONS.get(stage)
-        if diff_fn is None:
-            print(
-                f"unknown replay stage {stage!r}; use one of "
-                + ", ".join(sorted(differ.STAGE_FUNCTIONS)),
-                file=sys.stderr,
-            )
-            return 2
-        divergence = diff_fn(seed, n_events=args.events)
         if divergence is None:
-            print(f"{stage}:{seed}: no divergence")
+            print(f"{args.replay}: no divergence")
             return 0
         print(divergence)
         return 1

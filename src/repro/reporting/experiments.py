@@ -10,7 +10,7 @@ the rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import StreamConfig
 from repro.core.lengths import LENGTH_BUCKETS, bucket_label
@@ -22,7 +22,6 @@ from repro.reporting.tables import render_table
 from repro.sim.compare import MatchResult, format_size, min_matching_l2_size
 from repro.sim.parallel import SweepTask, grid_stats
 from repro.sim.runner import MissTraceCache, default_cache
-from repro.sim.sweep import sweep_czone_bits, sweep_n_streams
 from repro.trace.store import TraceStore
 from repro.workloads import (
     NON_UNIT_STRIDE_BENCHMARKS,
@@ -62,12 +61,12 @@ DEFAULT_CZONE_BITS = 19
 
 def _replay_grid(
     names: Sequence[str],
-    configs: Dict[str, StreamConfig],
+    configs: Dict[Hashable, StreamConfig],
     cache: Optional[MissTraceCache],
     jobs: int,
     store: Optional[TraceStore],
-) -> Dict[Tuple[str, str], StreamStats]:
-    """Every benchmark under every named config, as one sweep grid.
+) -> Dict[Tuple[str, Hashable], StreamStats]:
+    """Every benchmark under every labelled config, as one sweep grid.
 
     Keyed by ``(benchmark, config label)``.  Going through the parallel
     engine lets ``jobs`` fan the cells out and a warm ``store`` serve
@@ -152,15 +151,12 @@ def figure3(
 ) -> Dict[str, Dict[int, float]]:
     """Hit rate vs number of streams (unfiltered, depth 2).
 
-    ``jobs``/``store`` fan the per-benchmark sweeps out through the
-    parallel engine and its persistent trace store (see repro.sim.parallel).
+    ``jobs``/``store`` fan the whole grid out through the parallel engine
+    and its persistent trace store (see repro.sim.parallel).
     """
-    cache = cache if cache is not None else default_cache()
-    data = {}
-    for name in names:
-        sweep = sweep_n_streams(name, n_values, cache=cache, jobs=jobs, store=store)
-        data[name] = {n: stats.hit_rate_percent for n, stats in sweep.items()}
-    return data
+    configs = {n: StreamConfig.jouppi().with_(n_streams=n) for n in n_values}
+    grid = _replay_grid(names, configs, cache, jobs, store)
+    return {name: {n: grid[(name, n)].hit_rate_percent for n in n_values} for name in names}
 
 
 def render_figure3(data: Dict[str, Dict[int, float]]) -> str:
@@ -380,15 +376,15 @@ def figure9(
 ) -> Dict[str, Dict[int, float]]:
     """Hit rate vs czone size for the non-unit stride benchmarks.
 
-    ``jobs``/``store`` fan the per-benchmark sweeps out through the
-    parallel engine and its persistent trace store (see repro.sim.parallel).
+    ``jobs``/``store`` fan the whole grid out through the parallel engine
+    and its persistent trace store (see repro.sim.parallel).
     """
-    cache = cache if cache is not None else default_cache()
-    data = {}
-    for name in names:
-        sweep = sweep_czone_bits(name, czone_bits_values, cache=cache, jobs=jobs, store=store)
-        data[name] = {bits: stats.hit_rate_percent for bits, stats in sweep.items()}
-    return data
+    configs = {bits: StreamConfig.non_unit().with_(czone_bits=bits) for bits in czone_bits_values}
+    grid = _replay_grid(names, configs, cache, jobs, store)
+    return {
+        name: {bits: grid[(name, bits)].hit_rate_percent for bits in czone_bits_values}
+        for name in names
+    }
 
 
 def render_figure9(data: Dict[str, Dict[int, float]]) -> str:

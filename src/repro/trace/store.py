@@ -38,10 +38,12 @@ digest-keyed ones hash differently and die of neglect).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 import zipfile
@@ -117,10 +119,11 @@ PROFILE_FORMAT_VERSION = 2
 SPECTRUM_FORMAT_VERSION = 1
 
 #: Everything reading and decoding a missing, truncated, foreign or stale
-#: entry can raise.  ``np.load`` surfaces zip-container damage as
+#: entry can raise.  ``zipfile`` surfaces container damage as
 #: ``BadZipFile``/``EOFError`` and member-decompression damage as
 #: ``zlib.error``; JSON of the wrong shape raises ``LookupError`` or
-#: ``TypeError``; bad JSON and stale versions raise ``ValueError``.
+#: ``TypeError``; bad JSON, foreign ``.npy`` members and stale versions
+#: raise ``ValueError``.
 _DEFECTS = (
     OSError, LookupError, ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error
 )
@@ -221,22 +224,15 @@ def cell_stats(
     return stats.streams if isinstance(stats, MechStats) else stats
 
 
-# -- StreamStats (de)serialisation -----------------------------------------
+@functools.lru_cache(maxsize=None)
+def _counters(stats_type: type) -> Tuple[str, ...]:
+    """The counters of a stats dataclass: its ``int`` fields, in
+    declaration order.  Read off the class, so a counter added to
+    ``StreamStats``/``MechStats`` is written, sent and read back too."""
+    return tuple(f.name for f in dataclasses.fields(stats_type) if f.type in ("int", int))
 
-_COUNTER_FIELDS = (
-    "demand_misses",
-    "stream_hits",
-    "in_flight_matches",
-    "ifetch_misses",
-    "writebacks",
-    "invalidations",
-    "prefetches_issued",
-    "prefetches_used",
-    "allocations",
-    "unit_filter_hits",
-    "unit_filter_misses",
-    "detector_hits",
-)
+
+# -- StreamStats (de)serialisation -----------------------------------------
 
 
 def stats_to_dict(stats: StreamStats) -> dict:
@@ -246,11 +242,12 @@ def stats_to_dict(stats: StreamStats) -> dict:
     ints/bools/strings, and the histogram buckets are (low, high) pairs.
     """
     from repro.core.lengths import LENGTH_BUCKETS
+    from repro.core.prefetcher import StreamStats
 
     lengths = stats.lengths
     return {
         "config": dataclasses.asdict(stats.config),
-        "counters": {name: getattr(stats, name) for name in _COUNTER_FIELDS},
+        "counters": {name: getattr(stats, name) for name in _counters(StreamStats)},
         "lengths": {
             "hits_by_bucket": [
                 [low, high, lengths.hits_by_bucket[(low, high)]]
@@ -292,33 +289,20 @@ def stats_from_dict(payload: dict) -> StreamStats:
     return StreamStats(
         config=config,
         lengths=lengths,
-        **{name: int(counters[name]) for name in _COUNTER_FIELDS},
+        **{name: int(counters[name]) for name in _counters(StreamStats)},
     )
 
 
 # -- MechStats (de)serialisation --------------------------------------------
 
-_MECH_COUNTER_FIELDS = (
-    "demand_misses",
-    "hits",
-    "ifetch_misses",
-    "writebacks",
-    "invalidations",
-    "allocations",
-    "evictions",
-    "writebacks_out",
-    "prefetches_issued",
-    "prefetches_used",
-)
-
 
 def mech_stats_to_dict(stats: "MechStats") -> dict:
     """Flatten a :class:`MechStats` to JSON-safe plain types (exact)."""
-    from repro.mechanisms.base import mechanism_to_dict
+    from repro.mechanisms.base import MechStats, mechanism_to_dict
 
     return {
         "mechanism": mechanism_to_dict(stats.config),
-        "counters": {name: getattr(stats, name) for name in _MECH_COUNTER_FIELDS},
+        "counters": {name: getattr(stats, name) for name in _counters(MechStats)},
         "member_hits": list(stats.member_hits),
         "streams": None if stats.streams is None else stats_to_dict(stats.streams),
     }
@@ -339,7 +323,7 @@ def mech_stats_from_dict(payload: dict) -> "MechStats":
         config=mechanism_from_dict(payload["mechanism"]),
         member_hits=tuple(int(h) for h in payload.get("member_hits") or ()),
         streams=None if streams is None else stats_from_dict(streams),
-        **{name: int(counters[name]) for name in _MECH_COUNTER_FIELDS},
+        **{name: int(counters[name]) for name in _counters(MechStats)},
     )
 
 
@@ -364,14 +348,50 @@ def _pack_npz(meta: dict, arrays: Dict[str, np.ndarray]) -> bytes:
     return buffer.getvalue()
 
 
+#: The ``.npy`` header ``np.save`` writes: a dict literal, keys sorted,
+#: padded with spaces to a newline.  Matched here rather than parsed by
+#: ``np.load``, whose ``ast.literal_eval`` raises ``SystemError`` when
+#: two threads parse at once on CPython 3.11 (gh-106905) — and store
+#: reads run in threads.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '([^']+)', 'fortran_order': (False|True), 'shape': \(([0-9, ]*)\), \} *\n\Z"
+)
+
+
+def _read_npy(member: bytes) -> np.ndarray:
+    """The array in one ``.npy`` archive member (format 1.0-3.0)."""
+    if member[:6] != b"\x93NUMPY" or member[6] not in (1, 2, 3):
+        raise ValueError("not an .npy member")
+    start = 10 if member[6] == 1 else 12
+    end = start + int.from_bytes(member[8:start], "little")
+    header = _NPY_HEADER.match(member[start:end].decode("latin1"))
+    if header is None:
+        raise ValueError(f"unexpected .npy header {member[start:end]!r}")
+    descr, fortran_order, dims = header.groups()
+    shape = tuple(int(dim) for dim in dims.split(",") if dim.strip())
+    array = np.frombuffer(
+        member, dtype=np.dtype(descr), count=int(np.prod(shape)), offset=end
+    )
+    order = "F" if fortran_order == "True" else "C"
+    return array.reshape(shape, order=order).copy(order="K")
+
+
+def _meta(member: bytes) -> dict:
+    return json.loads(_read_npy(member).tobytes().decode())
+
+
 def _unpack_npz(
     data: bytes, version_key: str, version: int
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
     """``(meta, arrays)`` of a :func:`_pack_npz` archive, version-checked."""
-    with np.load(io.BytesIO(data)) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode())
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        meta = _meta(archive.read("meta.npy"))
         _check_version(meta, version_key, version)
-        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        arrays = {
+            name.removesuffix(".npy"): _read_npy(archive.read(name))
+            for name in archive.namelist()
+            if name != "meta.npy"
+        }
     return meta, arrays
 
 
@@ -560,8 +580,7 @@ def _read_summary(codec: Codec, path: Path) -> Tuple[Any, int]:
     with zipfile.ZipFile(path) as archive:
         info = archive.getinfo("meta.npy")
         member = archive.read(info)
-    meta = json.loads(bytes(np.lib.format.read_array(io.BytesIO(member))).decode())
-    return codec.summarize(meta), info.compress_size
+    return codec.summarize(_meta(member)), info.compress_size
 
 
 class BlobRejected(ValueError):

@@ -169,3 +169,116 @@ class TestAnalyticStreamsStage:
             s for s in range(8) if differ.diff_analytic_streams(s, n_events=900)
         ]
         assert found, "zeroed error bound went undetected across 8 seeds"
+
+
+class TestFieldWalk:
+    """The stages compare every field of the result dataclasses, so a
+    counter production reports and the oracle does not fails its stage."""
+
+    @pytest.mark.parametrize(
+        "module, name, stage",
+        [
+            ("repro.core.prefetcher", "StreamStats", "streams"),
+            ("repro.mechanisms.base", "MechStats", "victim"),
+            ("repro.sim.runner", "L1Summary", "l1"),
+        ],
+    )
+    def test_unreported_field_fails_its_stage(self, monkeypatch, module, name, stage):
+        import dataclasses
+        import importlib
+
+        home = importlib.import_module(module)
+        base = getattr(home, name)
+        extended = dataclasses.make_dataclass(
+            f"Extended{name}",
+            [("late_prefetches", int, dataclasses.field(default=0))],
+            bases=(base,),
+            frozen=base.__dataclass_params__.frozen,
+        )
+        monkeypatch.setattr(home, name, extended)
+        divergence = differ.STAGE_FUNCTIONS[stage](0, n_events=400)
+        assert divergence is not None
+        assert divergence.what.endswith(".late_prefetches")
+        assert divergence.expected == "<not reported>"
+
+    def test_hybrid_stage_compares_embedded_stream_stats(self, monkeypatch):
+        # Corrupt only the StreamStats a hybrid's replay_secondary result
+        # carries (what the store writes and the wire's "mech" payload
+        # holds); the ten top-level counters and member_hits stay right.
+        import random
+        from dataclasses import replace
+
+        real = differ.replay_secondary
+
+        def corrupted(config, miss_trace, engine=None):
+            stats = real(config, miss_trace, engine=engine)
+            if config.kind == "hybrid" and stats.streams is not None:
+                streams = stats.streams
+                stats.streams = replace(
+                    streams,
+                    unit_filter_hits=streams.unit_filter_hits + 1,
+                    detector_hits=streams.detector_hits + 1,
+                    in_flight_matches=streams.in_flight_matches + 1,
+                    lengths=replace(
+                        streams.lengths,
+                        zero_length_streams=streams.lengths.zero_length_streams + 1,
+                    ),
+                )
+            return stats
+
+        monkeypatch.setattr(differ, "replay_secondary", corrupted)
+        with_streams = caught = 0
+        for seed in range(10):
+            rng = random.Random(seed * differ.diff_hybrid.salt % (1 << 31))
+            config = differ.random_hybrid_config(rng)
+            if not any(member.kind == "streams" for member in config.members):
+                continue
+            with_streams += 1
+            divergence = differ.diff_hybrid(seed, n_events=600)
+            if divergence is not None:
+                assert "replay_secondary" in divergence.what
+                assert ".streams." in divergence.what
+                caught += 1
+        assert with_streams >= 5
+        assert caught == with_streams
+
+    def test_hybrid_stage_runs_both_engines(self):
+        labels = [label for label, _ in differ.diff_hybrid.runners]
+        assert "replay_secondary[scalar]" in labels
+        assert "replay_secondary[vector]" in labels
+
+
+class TestReplay:
+    def test_registry_divergence_replays_from_its_printed_line(self, monkeypatch, capsys):
+        # Armed invariants (REPRO_CHECK=1, as in `make check-diff-long`)
+        # route the paper L1 through Cache's checked path, which the
+        # every-fill-dirty bug reaches.
+        from repro.caches.cache import Cache
+        from repro.check import invariants
+        from repro.cli import main
+
+        real = Cache._install_ex
+        monkeypatch.setattr(
+            Cache, "_install_ex",
+            lambda self, set_index, block, dirty: real(self, set_index, block, True),
+        )
+        monkeypatch.setattr(invariants, "ENABLED", True)
+        divergence = differ.diff_registry_workload("stride", scale=0.05)
+        assert divergence is not None
+        assert divergence.stage == "registry:stride@0.05"
+        replay_line = str(divergence).splitlines()[-1]
+        command = replay_line.split("repro ", 1)[1].split()
+        assert command == ["check", "--replay", "registry:stride@0.05:0"]
+        assert main(command) == 1
+        assert str(divergence) in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "key", ["streams", "streams:x", "nosuch:3", "registry:nosuch@0.05:0", "registry:cgm:0"]
+    )
+    def test_bad_keys_are_rejected(self, key, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ValueError):
+            differ.replay(key)
+        assert main(["check", "--replay", key]) == 2
+        assert "replay" in capsys.readouterr().err

@@ -103,6 +103,31 @@ class TestFigure9:
         assert "czone" in experiments.render_figure9(data)
 
 
+class TestSweepFiguresBuildOneGrid:
+    def test_figure3_and_figure9_are_one_grid_each(self, cache, monkeypatch):
+        # One grid (so one process pool under jobs > 1) per exhibit, with
+        # the data the per-benchmark sweeps give.
+        from repro.sim.sweep import sweep_czone_bits, sweep_n_streams
+
+        real = experiments.grid_stats
+        grids = []
+
+        def counting(tasks, **kwargs):
+            grids.append(len(tasks))
+            return real(tasks, **kwargs)
+
+        monkeypatch.setattr(experiments, "grid_stats", counting)
+        names = ("stride", "sweep")
+        figure3 = experiments.figure3(names=names, n_values=(1, 4), cache=cache)
+        figure9 = experiments.figure9(names=names, czone_bits_values=(8, 14), cache=cache)
+        assert grids == [4, 4]
+        for name in names:
+            for data, sweep in (
+                (figure3, sweep_n_streams(name, (1, 4), cache=cache)),
+                (figure9, sweep_czone_bits(name, (8, 14), cache=cache)),
+            ):
+                assert data[name] == {key: s.hit_rate_percent for key, s in sweep.items()}
+
 class TestTable4:
     def test_scaling_rows(self, cache):
         rows = experiments.table4(scales={"buk": (0.25, 0.5)}, cache=cache)

@@ -1,6 +1,7 @@
 """Tests for repro.trace.store and the store-layered MissTraceCache."""
 
 import dataclasses
+import io
 import json
 import zipfile
 
@@ -470,6 +471,170 @@ class TestConcurrentSummaryReads:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert len(cache) == 0  # summaries only: no trace was decoded
+
+
+def _pinned_miss_trace():
+    """Reads with write-backs, write misses and ifetch misses mixed in."""
+    addrs, kinds = [], []
+    for i in range(40):
+        addrs.append(0x10000 + 64 * i)
+        kinds.append(int(MissEventKind.READ_MISS))
+        if i % 7 == 3:
+            addrs.append(0x10000 + 64 * (i + 1))
+            kinds.append(int(MissEventKind.WRITEBACK))
+        if i % 5 == 0:
+            addrs.append(0x80000 + 192 * i)
+            kinds.append(int(MissEventKind.WRITE_MISS))
+        if i % 9 == 0:
+            addrs.append(0x40000 + 64 * i)
+            kinds.append(int(MissEventKind.IFETCH_MISS))
+    return MissTrace(np.asarray(addrs, dtype=np.int64), np.asarray(kinds, dtype=np.uint8), 6)
+
+
+_PINNED_STREAM_JSON = (
+    '{"config": {"n_streams": 4, "depth": 2, "block_bits": 6, '
+    '"unit_filter_entries": 16, "stride_detector": "czone", '
+    '"czone_filter_entries": 16, "czone_bits": 12, "min_delta_entries": 16, '
+    '"allow_negative_strides": true, "min_lead": 0, "partitioned": false, '
+    '"i_streams": 2, "lookup_depth": 1}, "counters": {"demand_misses": 53, '
+    '"stream_hits": 30, "in_flight_matches": 0, "ifetch_misses": 5, '
+    '"writebacks": 6, "invalidations": 8, "prefetches_issued": 52, '
+    '"prefetches_used": 30, "allocations": 11, "unit_filter_hits": 6, '
+    '"unit_filter_misses": 17, "detector_hits": 5}, "lengths": '
+    '{"hits_by_bucket": [[1, 5, 30], [6, 10, 0], [11, 15, 0], [16, 20, 0], '
+    '[21, 0, 0]], "streams_by_bucket": [[1, 5, 8], [6, 10, 0], [11, 15, 0], '
+    '[16, 20, 0], [21, 0, 0]], "zero_length_streams": 3}}'
+)
+
+_PINNED_HYBRID_JSON = (
+    '{"mechanism": {"kind": "hybrid", "entries": 0, "shadow_sets": 256, '
+    '"shadow_assoc": 4, "block_bits": 6, "streams": null, "members": [{"kind": '
+    '"victim", "entries": 4, "shadow_sets": 256, "shadow_assoc": 4, '
+    '"block_bits": 6, "streams": null, "members": []}, {"kind": "streams", '
+    '"entries": 0, "shadow_sets": 256, "shadow_assoc": 4, "block_bits": 6, '
+    '"streams": {"n_streams": 2, "depth": 2, "block_bits": 6, '
+    '"unit_filter_entries": 16, "stride_detector": "none", '
+    '"czone_filter_entries": 16, "czone_bits": 16, "min_delta_entries": 16, '
+    '"allow_negative_strides": true, "min_lead": 0, "partitioned": false, '
+    '"i_streams": 2, "lookup_depth": 1}, "members": []}]}, "counters": '
+    '{"demand_misses": 53, "hits": 28, "ifetch_misses": 5, "writebacks": 6, '
+    '"invalidations": 6, "allocations": 12, "evictions": 0, "writebacks_out": '
+    '0, "prefetches_issued": 34, "prefetches_used": 22}, "member_hits": [6, '
+    '22], "streams": {"config": {"n_streams": 2, "depth": 2, "block_bits": 6, '
+    '"unit_filter_entries": 16, "stride_detector": "none", '
+    '"czone_filter_entries": 16, "czone_bits": 16, "min_delta_entries": 16, '
+    '"allow_negative_strides": true, "min_lead": 0, "partitioned": false, '
+    '"i_streams": 2, "lookup_depth": 1}, "counters": {"demand_misses": 47, '
+    '"stream_hits": 22, "in_flight_matches": 0, "ifetch_misses": 5, '
+    '"writebacks": 6, "invalidations": 6, "prefetches_issued": 34, '
+    '"prefetches_used": 22, "allocations": 6, "unit_filter_hits": 6, '
+    '"unit_filter_misses": 19, "detector_hits": 0}, "lengths": '
+    '{"hits_by_bucket": [[1, 5, 22], [6, 10, 0], [11, 15, 0], [16, 20, 0], '
+    '[21, 0, 0]], "streams_by_bucket": [[1, 5, 6], [6, 10, 0], [11, 15, 0], '
+    '[16, 20, 0], [21, 0, 0]], "zero_length_streams": 0}}}'
+)
+
+
+class TestResultDictsPinned:
+    """What ``stats_to_dict``/``mech_stats_to_dict`` emit -- the content of
+    the store's result files and of the wire's ``"stats"``/``"mech"``
+    payloads -- pinned key by key, in order, for one stream and one hybrid
+    result."""
+
+    def test_stream_result(self):
+        config = StreamConfig.non_unit(n_streams=4, czone_bits=12)
+        stats = StreamPrefetcher(config).run(_pinned_miss_trace())
+        assert json.dumps(stats_to_dict(stats)) == _PINNED_STREAM_JSON
+        assert stats_from_dict(json.loads(_PINNED_STREAM_JSON)) == stats
+
+    def test_hybrid_result(self):
+        from repro.mechanisms import MechanismConfig
+        from repro.sim.vector import replay_secondary
+        from repro.trace.store import mech_stats_from_dict, mech_stats_to_dict
+
+        config = MechanismConfig.hybrid(
+            MechanismConfig.victim(entries=4),
+            MechanismConfig.for_streams(StreamConfig.filtered(n_streams=2)),
+        )
+        stats = replay_secondary(config, _pinned_miss_trace(), engine="scalar")
+        assert json.dumps(mech_stats_to_dict(stats)) == _PINNED_HYBRID_JSON
+        assert mech_stats_from_dict(json.loads(_PINNED_HYBRID_JSON)) == stats
+
+
+class TestHeaderParses:
+    def test_concurrent_reads_never_overlap_header_parses(self, tmp_path, monkeypatch):
+        """numpy parses ``.npy`` headers with ``ast.literal_eval``, which
+        CPython 3.11 cannot run in two threads at once (gh-106905); the
+        store's threaded reads must never have two such parses in flight.
+        The spy sleeps inside each parse to widen any overlap."""
+        import ast
+        import threading
+        import time
+
+        store = TraceStore(tmp_path)
+        value = (make_miss_trace(), make_summary())
+        for i in range(4):
+            store.put("trace", f"t{i}", value)
+        state = {"now": 0, "peak": 0}
+        lock = threading.Lock()
+        real = ast.literal_eval
+
+        def spy(node):
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            try:
+                time.sleep(0.002)
+                return real(node)
+            finally:
+                with lock:
+                    state["now"] -= 1
+
+        monkeypatch.setattr(ast, "literal_eval", spy)
+        errors = []
+
+        def reader(seed):
+            try:
+                for j in range(8):
+                    digest = f"t{(seed + j) % 4}"
+                    assert store.get_summary("trace", digest) == value[1]
+                    miss_trace, summary = store.get("trace", digest)
+                    assert np.array_equal(miss_trace.addrs, value[0].addrs)
+                    assert summary == value[1]
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert state["peak"] <= 1
+
+    def test_reads_arrays_numpy_wrote(self, tmp_path):
+        # Every dtype and shape the store's archives hold, written by
+        # np.savez_compressed and read back without np.load.
+        from repro.trace.store import _unpack_npz
+
+        arrays = {
+            "ints": np.arange(-5, 7, dtype=np.int64),
+            "flags": np.array([0, 1, 1], dtype=np.uint8),
+            "grid": np.arange(12, dtype=np.int64).reshape(3, 4),
+            "empty": np.zeros((0, 5), dtype=np.int64),
+            "fortran": np.asfortranarray(np.arange(6, dtype=np.int64).reshape(2, 3)),
+        }
+        buffer = io.BytesIO()
+        meta = np.frombuffer(b'{"v":1}', dtype=np.uint8)
+        np.savez_compressed(buffer, meta=meta, **arrays)
+        got_meta, got = _unpack_npz(buffer.getvalue(), "v", 1)
+        assert got_meta == {"v": 1}
+        assert list(got) == list(arrays)
+        for name, array in arrays.items():
+            assert got[name].dtype == array.dtype
+            assert np.array_equal(got[name], array)
+            assert got[name].flags.writeable  # a copy, not a view of the bytes
 
 
 class TestOrphanClockSteps:
