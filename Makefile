@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench paper-bench bench-quick bench-trend obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
+.PHONY: install test bench paper-bench bench-quick obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -29,12 +29,6 @@ paper-bench:
 # the timings in BENCH_PR1.json for cross-PR perf tracking.
 bench-quick:
 	PYTHONPATH=src python benchmarks/bench_quick.py
-
-# Cross-PR regression gate: aggregates the committed BENCH_PR*.json
-# into per-metric series and fails if any tracked headline metric's
-# latest point is >10% worse than its series best (BENCH_TREND.json).
-bench-trend:
-	PYTHONPATH=src python benchmarks/bench_trend.py
 
 # Telemetry gate (docs/observability.md): a traced quick sweep must
 # produce a schema-valid Perfetto trace with one `cell` span per

@@ -55,6 +55,7 @@ divergences replay as ``registry:<name>@<scale>:<seed>``.
 
 from __future__ import annotations
 
+import os
 import random
 import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -64,6 +65,7 @@ import numpy as np
 
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
 from repro.caches.secondary import simulate_secondary
+from repro.check import invariants as _inv
 from repro.check import mech_oracle, oracle
 from repro.core.bank import Lookup
 from repro.core.config import StreamConfig, StrideDetector
@@ -71,6 +73,8 @@ from repro.core.prefetcher import StreamPrefetcher
 from repro.mechanisms import MechanismConfig, build_mechanism
 from repro.sim.runner import simulate_l1
 from repro.sim.vector import (
+    DEFAULT_ENGINE,
+    ENGINE_ENV_VAR,
     replay_secondary,
     replay_streams,
     vector_replay_streams,
@@ -109,6 +113,23 @@ __all__ = [
 ]
 
 
+def _engine_settings() -> str:
+    """This process's engine settings that differ from the defaults, as
+    environment assignments (``"REPRO_CHECK=1 REPRO_ENGINE=scalar"``).
+
+    Armed invariants and the engine choice select which simulator paths
+    run, so a divergence replays only under the settings it was found
+    with.
+    """
+    settings = []
+    if _inv.ENABLED:
+        settings.append("REPRO_CHECK=1")
+    engine = os.environ.get(ENGINE_ENV_VAR, "")
+    if engine and engine != DEFAULT_ENGINE:
+        settings.append(f"{ENGINE_ENV_VAR}={engine}")
+    return " ".join(settings)
+
+
 @dataclass(frozen=True)
 class Divergence:
     """One optimized-vs-oracle mismatch, pinned to a replayable seed.
@@ -121,6 +142,8 @@ class Divergence:
         optimized: the optimized simulator's value, rendered.
         expected: the oracle's value, rendered.
         context: extra detail (configs of the case).
+        settings: the non-default engine settings in force when the
+            divergence was found; the replay line sets them again.
     """
 
     stage: str
@@ -129,6 +152,7 @@ class Divergence:
     optimized: str
     expected: str
     context: str = ""
+    settings: str = field(default_factory=_engine_settings)
 
     def __str__(self) -> str:
         lines = [
@@ -138,7 +162,10 @@ class Divergence:
         ]
         if self.context:
             lines.append(f"  context:   {self.context}")
-        lines.append(f"  replay:    repro check --replay {self.stage}:{self.seed}")
+        command = f"repro check --replay {self.stage}:{self.seed}"
+        if self.settings:
+            command = f"{self.settings} {command}"
+        lines.append(f"  replay:    {command}")
         return "\n".join(lines)
 
 
@@ -751,17 +778,14 @@ def _stream_model_within_bound(case) -> Optional[Tuple[str, str, str]]:
 
 
 def _vector_case(rng: random.Random, n_events: int) -> Dict[str, object]:
-    # Write-back/write-allocate L1 and L2, and a non-partitioned window
-    # stream config: the vector engines' support envelope.  Anything
-    # outside it falls back to scalar in production.
+    # Write-back/write-allocate L1 and L2, and a unified head-only
+    # zero-latency stream config (any stride detector): the vector
+    # engines' support envelope.  Anything outside it falls back to
+    # scalar in production.
     config = replace(random_cache_config(rng), write_back=True, write_allocate=True)
     trace = random_trace(rng, n_events)
     stream_config = replace(
-        random_stream_config(rng),
-        partitioned=False,
-        lookup_depth=1,
-        min_lead=0,
-        stride_detector=StrideDetector.NONE,
+        random_stream_config(rng), partitioned=False, lookup_depth=1, min_lead=0
     )
     miss_trace = random_miss_trace(rng, n_events, block_bits=stream_config.block_bits)
     l2_config = replace(random_cache_config(rng), write_back=True, write_allocate=True)

@@ -34,7 +34,7 @@ from typing import List, Optional
 from repro.core.config import StreamConfig, StrideDetector
 from repro.reporting import experiments
 from repro.sim.runner import MissTraceCache, run_result
-from repro.sim.vector import ENGINE_ENV_VAR, ENGINES
+from repro.sim.vector import ENGINE_ENV_VAR, ENGINES, replay_streams
 from repro.trace.stats import profile_trace
 from repro.trace.store import TraceStore
 from repro.workloads import all_benchmarks, get_workload
@@ -859,7 +859,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         PrefetchingCache,
         ReferencePredictionTable,
     )
-    from repro.core.prefetcher import StreamPrefetcher
     from repro.reporting.tables import render_table
     from repro.sim.runner import MissTraceCache
 
@@ -869,14 +868,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     miss_trace, _ = cache.get(args.workload, scale=args.scale, seed=args.seed)
     rows = []
     contenders = [
-        ("streams (no filter)", StreamPrefetcher(StreamConfig.jouppi())),
-        ("streams + filter + czone", StreamPrefetcher(StreamConfig.non_unit(czone_bits=19))),
-        ("OBL tagged (16)", OneBlockLookahead(entries=16)),
-        ("prefetching cache (1KB)", PrefetchingCache(blocks=16)),
-        ("RPT, oracle PCs", ReferencePredictionTable()),
+        ("streams (no filter)", lambda mt: replay_streams(StreamConfig.jouppi(), mt)),
+        (
+            "streams + filter + czone",
+            lambda mt: replay_streams(StreamConfig.non_unit(czone_bits=19), mt),
+        ),
+        ("OBL tagged (16)", OneBlockLookahead(entries=16).run),
+        ("prefetching cache (1KB)", PrefetchingCache(blocks=16).run),
+        ("RPT, oracle PCs", ReferencePredictionTable().run),
     ]
-    for label, engine in contenders:
-        stats = engine.run(miss_trace)
+    for label, run in contenders:
+        stats = run(miss_trace)
         rows.append(
             [label, stats.hit_rate_percent, stats.bandwidth.eb_measured]
         )
@@ -1017,13 +1019,12 @@ def _cmd_compare_analytic(args: argparse.Namespace) -> int:
 def _cmd_timing(args: argparse.Namespace) -> int:
     from repro.caches.cache import CacheConfig
     from repro.caches.secondary import simulate_secondary
-    from repro.core.prefetcher import StreamPrefetcher
     from repro.sim.runner import MissTraceCache
     from repro.timing import TimingModel, l2_system_timing, stream_system_timing
 
     cache = MissTraceCache()
     miss_trace, summary = cache.get(args.workload, scale=args.scale)
-    streams = StreamPrefetcher(StreamConfig.non_unit(czone_bits=19)).run(miss_trace)
+    streams = replay_streams(StreamConfig.non_unit(czone_bits=19), miss_trace)
     l2 = simulate_secondary(
         miss_trace,
         CacheConfig(capacity=args.l2_kb * 1024, assoc=4, block_size=64, policy="lru"),

@@ -19,7 +19,7 @@ misses to a separate bank with its own filters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.core.lengths import StreamLengthHistogram
 from repro.core.min_delta import MinDeltaDetector
 from repro.core.nonunit import CzoneFilter
 
-__all__ = ["StreamStats", "StreamPrefetcher"]
+__all__ = ["StreamStats", "StreamPrefetcher", "build_stride_detector"]
 
 
 @dataclass
@@ -88,6 +88,30 @@ class StreamStats:
         )
 
 
+def build_stride_detector(
+    config: StreamConfig,
+) -> Optional[Union[CzoneFilter, MinDeltaDetector]]:
+    """The non-unit stride detector ``config`` names, or None (Section 7).
+
+    Shared by the scalar lanes and the flat replay engine of
+    :mod:`repro.sim.vector`, so both run the same detector objects.
+    """
+    if config.stride_detector == StrideDetector.CZONE:
+        return CzoneFilter(
+            entries=config.czone_filter_entries,
+            czone_bits=config.czone_bits,
+            block_bits=config.block_bits,
+            allow_negative=config.allow_negative_strides,
+        )
+    if config.stride_detector == StrideDetector.MIN_DELTA:
+        return MinDeltaDetector(
+            entries=config.min_delta_entries,
+            block_bits=config.block_bits,
+            allow_negative=config.allow_negative_strides,
+        )
+    return None
+
+
 class _Lane:
     """One bank plus its allocation machinery (unified or per-I/D)."""
 
@@ -101,20 +125,7 @@ class _Lane:
         self.unit_filter: Optional[UnitStrideFilter] = (
             UnitStrideFilter(config.unit_filter_entries) if config.has_unit_filter else None
         )
-        self.detector = None
-        if config.stride_detector == StrideDetector.CZONE:
-            self.detector = CzoneFilter(
-                entries=config.czone_filter_entries,
-                czone_bits=config.czone_bits,
-                block_bits=config.block_bits,
-                allow_negative=config.allow_negative_strides,
-            )
-        elif config.stride_detector == StrideDetector.MIN_DELTA:
-            self.detector = MinDeltaDetector(
-                entries=config.min_delta_entries,
-                block_bits=config.block_bits,
-                allow_negative=config.allow_negative_strides,
-            )
+        self.detector = build_stride_detector(config)
         self.allocations = 0
 
     def handle_miss(self, addr: int, block: int) -> Lookup:

@@ -363,7 +363,8 @@ def run_grid(
             the paper L1).
         keep_pcs: propagate PCs into the miss traces.
         chunk_size: tasks per scheduling unit (default: enough for ~4
-            chunks per worker, amortising task pickling).
+            chunks per worker, amortising task pickling, with all cells
+            of one trace kept together; see :func:`_chunk_positions`).
         executor: an already-initialized pool from :func:`make_pool`,
             reused across calls and **not** shut down here.  Its baked-in
             ``l1_config``/``keep_pcs``/``store`` take precedence over the
@@ -394,11 +395,10 @@ def run_grid(
     workers = jobs
     if executor is not None:
         workers = max(1, executor._max_workers)
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(tasks) / (workers * 4)))
-    chunks = [tasks[i : i + chunk_size] for i in range(0, len(tasks), chunk_size)]
+    positions = _chunk_positions(tasks, workers, chunk_size)
+    chunks = [[tasks[i] for i in chunk] for chunk in positions]
     store_root = str(store.root) if store is not None else None
-    assembled: Dict[int, List[Union[RunResult, TaskError]]] = {}
+    results: List[Union[RunResult, TaskError, None]] = [None] * len(tasks)
     pool = executor
     if pool is None:
         pool = ProcessPoolExecutor(
@@ -412,8 +412,9 @@ def run_grid(
                 pool.submit(_run_chunk, i, chunk) for i, chunk in enumerate(chunks)
             ]
             for future in as_completed(futures):
-                index, results, telemetry = future.result()
-                assembled[index] = results
+                index, chunk_results, telemetry = future.result()
+                for position, result in zip(positions[index], chunk_results):
+                    results[position] = result
                 # Fold each worker's drained telemetry into this process
                 # so sweeps observe one registry and one trace no matter
                 # how many processes did the work.
@@ -422,7 +423,40 @@ def run_grid(
     finally:
         if executor is None:
             pool.shutdown()
-    return [result for i in range(len(chunks)) for result in assembled[i]]
+    return results
+
+
+def _chunk_positions(
+    tasks: Sequence[SweepTask], workers: int, chunk_size: Optional[int]
+) -> List[List[int]]:
+    """Split task positions into scheduling chunks.
+
+    An explicit ``chunk_size`` slices the grid in order.  By default a
+    chunk holds ~1/4 of a worker's share, and when the grid has at least
+    as many distinct ``(workload, scale, seed)`` traces as workers, every
+    cell of a trace goes into one chunk (whole traces are packed until a
+    chunk reaches that size): on a cold store each trace is then
+    simulated by exactly one worker, not by every worker that draws one
+    of its cells.  With fewer traces than workers, slicing keeps every
+    worker busy.
+    """
+    size = chunk_size
+    if size is None:
+        size = max(1, math.ceil(len(tasks) / (workers * 4)))
+        by_trace: Dict[tuple, List[int]] = {}
+        for position, task in enumerate(tasks):
+            name, scale, seed, _ = resolve_workload_ref(
+                task.workload, task.scale, task.seed
+            )
+            by_trace.setdefault((name, scale, seed), []).append(position)
+        if len(by_trace) >= workers:
+            chunks: List[List[int]] = [[]]
+            for cells in by_trace.values():
+                if len(chunks[-1]) >= size:
+                    chunks.append([])
+                chunks[-1].extend(cells)
+            return chunks
+    return [list(range(i, min(i + size, len(tasks)))) for i in range(0, len(tasks), size)]
 
 
 def grid_stats(

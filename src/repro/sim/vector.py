@@ -26,14 +26,16 @@ Design (see docs/vectorized.md for the full argument):
   :func:`repro.trace.compress.compress_consecutive` and subsumes it.
 
 * **Flat stream replay.**  With the paper's bank semantics (head-only
-  lookup, ``min_lead`` 0, unit strides, unified lanes) a stream's FIFO is
-  always the contiguous block window ``[next - depth, next)``, so the
-  per-entry ``StreamEntry`` objects and per-stream list shuffling of
-  :class:`StreamBufferBank` can be replaced by a few ints per stream plus
-  one dict mapping head blocks to their multiplicity for O(1) miss
-  detection.  Configurations outside that family (partitioned banks,
-  ``lookup_depth`` > 1, latency model, stride detectors) fall back to the
-  scalar prefetcher.
+  lookup, ``min_lead`` 0, unified lanes) a stream's FIFO is always the
+  arithmetic block window ``head, head + stride, ...`` of ``depth``
+  blocks (stride 1 unless the Section 7 stride detector allocated it),
+  so the per-entry ``StreamEntry`` objects and per-stream list shuffling
+  of :class:`StreamBufferBank` can be replaced by a few ints per stream
+  plus one dict mapping head blocks to their multiplicity for O(1) miss
+  detection.  The unit filter and the stride detector are the scalar
+  lane's own objects.  Configurations outside that family (partitioned
+  banks, ``lookup_depth`` > 1, latency model) fall back to the scalar
+  prefetcher.
 
 * **Sampled L2 probes.**  :func:`vector_simulate_secondary` applies the
   set-sampling filter as one vectorized mask (the scalar loop pays full
@@ -62,10 +64,10 @@ import numpy as np
 from repro.caches.cache import CacheConfig, CacheStats, MissEventKind, MissTrace
 from repro.caches.secondary import SecondaryResult
 from repro.check import invariants as _inv
-from repro.core.config import StreamConfig, StrideDetector
+from repro.core.config import StreamConfig
 from repro.core.filters import UnitStrideFilter
 from repro.core.lengths import StreamLengthHistogram, bucket_of
-from repro.core.prefetcher import StreamPrefetcher, StreamStats
+from repro.core.prefetcher import StreamPrefetcher, StreamStats, build_stride_detector
 from repro.trace.events import AccessKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -349,21 +351,21 @@ def _residue_ordered(
 # ---------------------------------------------------------------------------
 
 
-def streams_vector_supported(config: StreamConfig) -> bool:
-    """Is ``config`` inside the flat engine's family?
+def _flat_window_config(config: StreamConfig) -> bool:
+    """The flat engine's envelope: unified lanes, head-only comparison
+    and zero-latency prefetches, with or without a stride detector."""
+    return not config.partitioned and config.lookup_depth <= 1 and config.min_lead == 0
 
-    The flat engine models exactly the paper's bank: unified lanes,
-    head-only comparison, zero-latency prefetches and unit strides (no
-    stride detector), which keeps every stream's FIFO a contiguous block
-    window.  Everything else falls back to the scalar prefetcher.
+
+def streams_vector_supported(config: StreamConfig) -> bool:
+    """Does :func:`replay_streams` serve ``config`` on the flat engine?
+
+    With the paper's bank semantics every stream's FIFO is an arithmetic
+    block window, unit-strided or not, so only partitioned lanes,
+    ``lookup_depth`` > 1 and ``min_lead`` > 0 fall back to the scalar
+    prefetcher — and every config does under ``REPRO_CHECK``.
     """
-    return (
-        not config.partitioned
-        and config.lookup_depth <= 1
-        and config.min_lead == 0
-        and config.stride_detector == StrideDetector.NONE
-        and not _inv.ENABLED
-    )
+    return _flat_window_config(config) and not _inv.ENABLED
 
 
 def vector_replay_streams(
@@ -377,12 +379,7 @@ def vector_replay_streams(
     Raises:
         ValueError: on block-geometry mismatch, like the scalar run.
     """
-    if not (
-        not config.partitioned
-        and config.lookup_depth <= 1
-        and config.min_lead == 0
-        and config.stride_detector == StrideDetector.NONE
-    ):
+    if not _flat_window_config(config):
         return None
     if _inv.ENABLED and not force:
         return None
@@ -401,43 +398,55 @@ def vector_replay_streams(
         if miss_trace.has_ifetch_misses
         else 0
     )
-    block_col = (miss_trace.addrs >> config.block_bits).tolist()
+    block_bits = config.block_bits
+    addr_col = miss_trace.addrs.tolist()
 
     n_streams = config.n_streams
     depth = config.depth
+    reach = depth - 1
     unit_filter = (
         UnitStrideFilter(config.unit_filter_entries) if config.has_unit_filter else None
     )
     observe = unit_filter.observe if unit_filter is not None else None
+    # The Section 7 detector sees the raw address of every bank miss the
+    # unit filter rejects, exactly as in the scalar lane.
+    detector = build_stride_detector(config)
+    detect = detector.observe if detector is not None else None
 
-    # Flat per-stream state: the FIFO of stream i is always the window
-    # [nxt[i] - depth, nxt[i]) of block addresses, minus the blocks in
-    # invs[i] (invalidated by write-backs).  heads[i] caches the head
-    # block (None when invalid), and head_count is a multiset of the
-    # valid head blocks so a bank miss is a single dict probe.
-    nxt = [0] * n_streams
-    active = [False] * n_streams
-    hits_since = [0] * n_streams
+    # Flat per-stream state: stream i holds the depth blocks from lo[i]
+    # to hi[i] in steps of strides[i] (its head is lo[i] for a positive
+    # stride, hi[i] for a negative one), minus the blocks in invs[i]
+    # (invalidated by write-backs).  heads[i] caches the head block
+    # (None when invalid or never allocated), and head_count is a
+    # multiset of the valid head blocks so a bank miss is a single dict
+    # probe.  A window only moves in its stride's direction, so a block
+    # that left it never returns before the stream is reallocated, which
+    # keeps the invalid sets exact.  hits_since[i] is -1 until stream i
+    # is first allocated; the LRU order hands out never-used streams
+    # first.
+    strides = [1] * n_streams
+    lo = [1] * n_streams  # empty windows: lo > hi
+    hi = [0] * n_streams
+    hits_since = [-1] * n_streams
     invs: List[Optional[set]] = [None] * n_streams
     heads: List[Optional[int]] = [None] * n_streams
     head_count: dict = {}
     lru_order = list(range(n_streams))
 
-    hits = 0
-    issued = 0
-    used = 0
-    allocations = 0
     invalidations = 0
     finished_lengths: List[int] = []
 
     head_count_get = head_count.get
     if has_writebacks:
         # Mixed stream: write-backs interleave with demand misses.
-        for block, kind in zip(block_col, kinds.tolist()):
+        for addr, kind in zip(addr_col, kinds.tolist()):
+            block = addr >> block_bits
             if kind == _WB:
                 # Invalidate stale copies in every stream window.
                 for i in range(n_streams):
-                    if active[i] and nxt[i] - depth <= block < nxt[i]:
+                    if lo[i] <= block <= hi[i]:
+                        if (block - lo[i]) % strides[i]:
+                            continue  # between two stride steps
                         inv = invs[i]
                         if inv is None:
                             inv = invs[i] = set()
@@ -458,16 +467,15 @@ def vector_replay_streams(
                 # Head hit on the lowest-indexed matching stream, like
                 # the scalar bank's heads.index scan.
                 i = heads.index(block)
-                hits += 1
-                used += 1
-                issued += 1  # the consumed head's replacement prefetch
                 if count == 1:
                     del head_count[block]
                 else:
                     head_count[block] = count - 1
                 hits_since[i] += 1
-                new_head = nxt[i] - depth + 1
-                nxt[i] += 1
+                stride = strides[i]
+                lo[i] += stride
+                hi[i] += stride
+                new_head = block + stride
                 inv = invs[i]
                 if inv is not None and new_head in inv:
                     heads[i] = None
@@ -477,79 +485,99 @@ def vector_replay_streams(
                 lru_order.remove(i)
                 lru_order.append(i)
                 continue
-            # Bank miss: the unit filter (if any) gates allocation.
-            if observe is not None and not observe(block):
+            # Bank miss: the unit filter (if any) gates allocation, and
+            # the stride detector (if any) gets what the filter rejects.
+            if observe is None or observe(block):
+                start = block + 1
+                stride = 1
+            elif detect is None:
                 continue
+            else:
+                found = detect(addr)
+                if found is None:
+                    continue
+                start = found.start_block
+                stride = found.stride_blocks
             i = lru_order.pop(0)
-            if active[i]:
-                finished_lengths.append(hits_since[i])
-                old_head = heads[i]
-                if old_head is not None:
-                    count = head_count[old_head]
-                    if count == 1:
-                        del head_count[old_head]
-                    else:
-                        head_count[old_head] = count - 1
-            active[i] = True
+            finished_lengths.append(hits_since[i])
+            old_head = heads[i]
+            if old_head is not None:
+                count = head_count[old_head]
+                if count == 1:
+                    del head_count[old_head]
+                else:
+                    head_count[old_head] = count - 1
             hits_since[i] = 0
             invs[i] = None
-            nxt[i] = block + 1 + depth
-            heads[i] = block + 1
-            head_count[block + 1] = head_count_get(block + 1, 0) + 1
-            issued += depth
-            allocations += 1
+            strides[i] = stride
+            if stride > 0:
+                lo[i] = start
+                hi[i] = start + reach * stride
+            else:
+                lo[i] = start + reach * stride
+                hi[i] = start
+            heads[i] = start
+            head_count[start] = head_count_get(start, 0) + 1
             lru_order.append(i)
     else:
         # Pure demand stream (ifetch misses included: the unified lane
         # treats them like data misses) — no per-event kind dispatch, and
-        # no invalidations means the per-stream invalid sets stay empty.
-        for block in block_col:
+        # no invalidations, so heads never go invalid and the window
+        # bounds are never read.
+        for addr in addr_col:
+            block = addr >> block_bits
             count = head_count_get(block)
             if count:
                 i = heads.index(block)
-                hits += 1
-                used += 1
-                issued += 1
                 if count == 1:
                     del head_count[block]
                 else:
                     head_count[block] = count - 1
                 hits_since[i] += 1
-                new_head = nxt[i] - depth + 1
-                nxt[i] += 1
+                new_head = block + strides[i]
                 heads[i] = new_head
                 head_count[new_head] = head_count_get(new_head, 0) + 1
                 lru_order.remove(i)
                 lru_order.append(i)
                 continue
-            if observe is not None and not observe(block):
+            if observe is None or observe(block):
+                start = block + 1
+                stride = 1
+            elif detect is None:
                 continue
+            else:
+                found = detect(addr)
+                if found is None:
+                    continue
+                start = found.start_block
+                stride = found.stride_blocks
             i = lru_order.pop(0)
-            if active[i]:
-                finished_lengths.append(hits_since[i])
-                old_head = heads[i]
-                if old_head is not None:
-                    count = head_count[old_head]
-                    if count == 1:
-                        del head_count[old_head]
-                    else:
-                        head_count[old_head] = count - 1
-            active[i] = True
+            finished_lengths.append(hits_since[i])
+            old_head = heads[i]
+            if old_head is not None:
+                count = head_count[old_head]
+                if count == 1:
+                    del head_count[old_head]
+                else:
+                    head_count[old_head] = count - 1
             hits_since[i] = 0
-            nxt[i] = block + 1 + depth
-            heads[i] = block + 1
-            head_count[block + 1] = head_count_get(block + 1, 0) + 1
-            issued += depth
-            allocations += 1
+            strides[i] = stride
+            heads[i] = start
+            head_count[start] = head_count_get(start, 0) + 1
             lru_order.append(i)
 
-    for i in range(n_streams):
-        if active[i]:
-            finished_lengths.append(hits_since[i])
+    finished_lengths.extend(hits_since)
+    # Every allocation ends in exactly one finished length, and every
+    # head hit (each consuming one prefetch and issuing its replacement)
+    # lands in one; the -1s are streams that were never allocated.
+    tally = Counter(finished_lengths)
+    tally.pop(-1, None)
+    allocations = sum(tally.values())
+    hits = sum(length * times for length, times in tally.items())
 
     lengths = StreamLengthHistogram()
     # The histogram is a bag, so bulk-record distinct lengths at once.
-    for length, times in Counter(finished_lengths).items():
+    for length, times in tally.items():
         if length == 0:
             lengths.zero_length_streams += times
         else:
@@ -565,12 +593,12 @@ def vector_replay_streams(
         ifetch_misses=ifetch_count,
         writebacks=wb_count,
         invalidations=invalidations,
-        prefetches_issued=issued,
-        prefetches_used=used,
+        prefetches_issued=hits + depth * allocations,
+        prefetches_used=hits,
         allocations=allocations,
         unit_filter_hits=unit_filter.hits if unit_filter is not None else 0,
         unit_filter_misses=unit_filter.misses if unit_filter is not None else 0,
-        detector_hits=0,
+        detector_hits=detector.hits if detector is not None else 0,
         lengths=lengths,
     )
 

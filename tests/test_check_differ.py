@@ -242,6 +242,37 @@ class TestFieldWalk:
         assert with_streams >= 5
         assert caught == with_streams
 
+    def test_vector_stage_covers_stride_detectors(self, monkeypatch):
+        # The vector stage draws czone and min-delta stream configs, so a
+        # flat engine that is wrong only behind a stride detector fails it.
+        import random
+        from dataclasses import replace
+
+        from repro.core.config import StrideDetector
+
+        real = differ.vector_replay_streams
+
+        def skewed(config, miss_trace, force=False):
+            stats = real(config, miss_trace, force=force)
+            if config.stride_detector != StrideDetector.NONE:
+                stats = replace(stats, stream_hits=stats.stream_hits + 1)
+            return stats
+
+        monkeypatch.setattr(differ, "vector_replay_streams", skewed)
+        stage = differ.diff_vector
+        with_detector = 0
+        for seed in range(50):
+            case = stage.case(random.Random(seed * stage.salt % (1 << 31)), 200)
+            if case["stream_config"].stride_detector == StrideDetector.NONE:
+                continue
+            with_detector += 1
+            divergence = stage(seed, n_events=200)
+            assert divergence is not None, f"seed {seed} missed"
+            assert divergence.what == "vector: streams.stream_hits"
+            # Found unarmed, so the replay line carries no settings.
+            assert f"replay:    repro check --replay vector:{seed}" in str(divergence)
+        assert with_detector >= 10
+
     def test_hybrid_stage_runs_both_engines(self):
         labels = [label for label, _ in differ.diff_hybrid.runners]
         assert "replay_secondary[scalar]" in labels
@@ -267,10 +298,30 @@ class TestReplay:
         assert divergence is not None
         assert divergence.stage == "registry:stride@0.05"
         replay_line = str(divergence).splitlines()[-1]
+        # The line sets the armed invariants again, as a shell prefix.
+        assert replay_line.split()[:3] == ["replay:", "REPRO_CHECK=1", "repro"]
         command = replay_line.split("repro ", 1)[1].split()
         assert command == ["check", "--replay", "registry:stride@0.05:0"]
         assert main(command) == 1
         assert str(divergence) in capsys.readouterr().out
+
+    def test_replay_line_names_non_default_settings(self, monkeypatch):
+        from repro.check import invariants
+
+        def replay_words():
+            divergence = differ.Divergence(
+                stage="streams", seed=7, what="w", optimized="1", expected="2"
+            )
+            return str(divergence).splitlines()[-1].split()[1:]
+
+        monkeypatch.setattr(invariants, "ENABLED", False)
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert replay_words() == ["repro", "check", "--replay", "streams:7"]
+        monkeypatch.setenv("REPRO_ENGINE", "vector")  # the default
+        assert replay_words()[0] == "repro"
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        monkeypatch.setattr(invariants, "ENABLED", True)
+        assert replay_words()[:3] == ["REPRO_CHECK=1", "REPRO_ENGINE=scalar", "repro"]
 
     @pytest.mark.parametrize(
         "key", ["streams", "streams:x", "nosuch:3", "registry:nosuch@0.05:0", "registry:cgm:0"]

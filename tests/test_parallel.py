@@ -125,6 +125,28 @@ class TestStoreIntegration:
         serial = run_grid(small_tasks(), jobs=1, cache=MissTraceCache())
         assert [r.streams for r in serial] == [r.streams for r in warm]
 
+    def test_cold_pooled_grid_simulates_each_trace_once(self, tmp_path):
+        from repro.obs.metrics import engine_registry
+
+        def computed():
+            counters = engine_registry().snapshot()["counters"]
+            return counters.get("engine_runner_trace_computed_total", 0)
+
+        tasks = [
+            SweepTask(
+                key=(name, n), workload=name,
+                config=StreamConfig.jouppi(n_streams=n), scale=SCALE,
+            )
+            for name in ("sweep", "stride", "interleaved")
+            for n in (1, 2, 3, 4)
+        ]
+        before = computed()
+        pooled = run_grid(tasks, jobs=2, store=TraceStore(tmp_path))
+        # Every cell of a trace runs in one chunk, so one worker simulates
+        # it, whatever the timing.
+        assert computed() - before == 3
+        assert pooled == run_grid(tasks, jobs=1)
+
 
 def _damage_member(path, member):
     """Flip bytes in the middle of one archive member's compressed data."""

@@ -188,7 +188,6 @@ class TestStreamReplay:
             dict(partitioned=True, i_streams=2),
             dict(lookup_depth=2),
             dict(min_lead=1),
-            dict(stride_detector=StrideDetector.CZONE),
         ],
     )
     def test_unsupported_configs_fall_back(self, overrides):
@@ -198,6 +197,17 @@ class TestStreamReplay:
         # The dispatcher still answers, through the scalar prefetcher.
         stats = vector.replay_streams(config, _miss_trace([0, 64, 128]))
         assert stats == StreamPrefetcher(config).run(_miss_trace([0, 64, 128]))
+
+    @pytest.mark.parametrize("detector", [StrideDetector.CZONE, StrideDetector.MIN_DELTA])
+    def test_detector_configs_served(self, detector):
+        config = self._flat_config(stride_detector=detector)
+        assert vector.streams_vector_supported(config)
+        # A 3-block stride the unit filter rejects and the detector verifies.
+        mt = _miss_trace([i * 3 * 64 for i in range(8)])
+        vec = vector.vector_replay_streams(config, mt)
+        assert vec is not None
+        assert vec == StreamPrefetcher(config).run(mt)
+        assert vec.detector_hits > 0 and vec.stream_hits > 0
 
     def test_block_bits_mismatch_raises(self):
         config = self._flat_config()
@@ -244,6 +254,138 @@ class TestStreamReplay:
         mt = _miss_trace([0, 64])
         assert vector.vector_replay_streams(config, mt) is None
         assert vector.vector_replay_streams(config, mt, force=True) is not None
+
+
+_READ = int(MissEventKind.READ_MISS)
+_WRITEBACK = int(MissEventKind.WRITEBACK)
+
+#: Base of the strided walks: block 1536, mid-way through one 64 KB czone
+#: (blocks 1024-2047), so walks in either direction stay inside it.
+_BASE = 1536
+
+
+def _czone(**overrides):
+    return replace(StreamConfig.non_unit(n_streams=2, czone_bits=16), **overrides)
+
+
+def _strided_trace(stride, tail=()):
+    """Three misses ``stride`` blocks apart (the czone FSM verifies the
+    stride on the third and allocates a stream at ``_BASE + 3*stride``),
+    then ``tail``: ``(block, kind)`` events."""
+    events = [(_BASE + k * stride, _READ) for k in range(3)] + list(tail)
+    return _miss_trace(
+        [block * 64 for block, _ in events], [kind for _, kind in events]
+    )
+
+
+def _replay_both(config, mt):
+    vec = vector.vector_replay_streams(config, mt)
+    assert vec is not None
+    assert vec == StreamPrefetcher(config).run(mt)
+    return vec
+
+
+class TestStridedStreams:
+    """The flat engine's strided windows against the scalar prefetcher.
+
+    Every case asserts bit-identity, plus the counters that show the
+    case reached the window state it is named after."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("stride", [3, -3])
+    def test_walk_hits_every_step(self, stride, depth):
+        start = _BASE + 3 * stride
+        tail = [(start + k * stride, _READ) for k in range(6)]
+        stats = _replay_both(_czone(depth=depth), _strided_trace(stride, tail))
+        assert stats.detector_hits == 1 and stats.allocations == 1
+        assert stats.stream_hits == 6
+        assert stats.prefetches_issued == depth + 6
+
+    def test_negative_strides_disallowed(self):
+        stats = _replay_both(
+            _czone(allow_negative_strides=False),
+            _strided_trace(-3, [(_BASE - 9, _READ), (_BASE - 12, _READ)]),
+        )
+        assert stats.detector_hits == 0 and stats.allocations == 0
+
+    @pytest.mark.parametrize("stride", [3, -3])
+    def test_writeback_invalidates_head(self, stride):
+        head = _BASE + 3 * stride
+        stats = _replay_both(
+            _czone(), _strided_trace(stride, [(head, _WRITEBACK), (head, _READ)])
+        )
+        assert stats.invalidations == 1 and stats.stream_hits == 0
+
+    @pytest.mark.parametrize("stride", [3, -3])
+    def test_writeback_invalidates_non_head_entry(self, stride):
+        head = _BASE + 3 * stride
+        tail = [
+            (head + stride, _WRITEBACK),
+            (head, _READ),  # hit; the invalid entry becomes the head
+            (head + stride, _READ),  # so this misses
+        ]
+        stats = _replay_both(_czone(), _strided_trace(stride, tail))
+        assert stats.invalidations == 1 and stats.stream_hits == 1
+
+    @pytest.mark.parametrize("stride", [3, -3])
+    def test_writeback_between_stride_steps_invalidates_nothing(self, stride):
+        head = _BASE + 3 * stride
+        tail = [(head + 1, _WRITEBACK), (head + 2, _WRITEBACK), (head, _READ)]
+        stats = _replay_both(_czone(), _strided_trace(stride, tail))
+        assert stats.invalidations == 0 and stats.stream_hits == 1
+
+    def test_sub_block_stride_does_not_allocate(self):
+        # Byte stride 16 inside one 64-byte block: verified by the FSM,
+        # rounded to a zero block stride, rejected.
+        mt = _miss_trace([_BASE * 64 + 16 * k for k in range(4)])
+        stats = _replay_both(_czone(), mt)
+        assert stats.allocations == 0 and stats.detector_hits == 0
+
+    @pytest.mark.parametrize("detector", [StrideDetector.CZONE, StrideDetector.MIN_DELTA])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_random_miss_traces_identical(self, detector, depth):
+        for seed in range(4):
+            rng = random.Random(seed)
+            config = replace(
+                differ.random_stream_config(rng),
+                stride_detector=detector,
+                unit_filter_entries=16,
+                depth=depth,
+                lookup_depth=1,
+                min_lead=0,
+                partitioned=False,
+            )
+            mt = differ.random_miss_trace(rng, 1500)
+            for trace in (mt, mt.misses_only()):
+                _replay_both(config, trace)
+
+    def test_hybrid_stream_member_on_vector_engine(self):
+        from repro.mechanisms import parse_mechanism_spec
+
+        mechanism = parse_mechanism_spec("misscache:4+streams")
+        assert mechanism.members[-1].streams.stride_detector == StrideDetector.CZONE
+        for seed in range(3):
+            mt = differ.random_miss_trace(random.Random(seed), 1500)
+            vec = vector.replay_secondary(mechanism, mt, engine="vector")
+            assert vec == vector.replay_secondary(mechanism, mt, engine="scalar")
+
+    def test_czone_replay_builds_no_scalar_prefetcher(self, monkeypatch):
+        monkeypatch.delenv(vector.ENGINE_ENV_VAR, raising=False)
+        built = []
+
+        class Spy(StreamPrefetcher):
+            def __init__(self, config):
+                built.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(vector, "StreamPrefetcher", Spy)
+        mt = differ.random_miss_trace(random.Random(0), 500)
+        czone = StreamConfig.non_unit(czone_bits=19)
+        vector.replay_streams(czone, mt)
+        assert built == []
+        # The spy does see the configs that still need the scalar bank.
+        vector.replay_streams(czone.with_(min_lead=1), mt)
+        assert len(built) == 1
 
 
 class TestSecondaryProbe:
