@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench paper-bench bench-quick obs-smoke obs-bench profile-bench analytic-bench vector-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
+.PHONY: install test bench paper-bench bench-quick obs-smoke obs-bench profile-bench analytic-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -53,12 +53,6 @@ profile-bench:
 # results in BENCH_PR8.json (docs/analytic.md).
 analytic-bench:
 	PYTHONPATH=src python benchmarks/bench_analytic.py
-
-# Vector engine gate alone (also runs as part of bench-quick): scalar
-# vs batch l1.simulate span times and the warm jobs=1 sweep wall time,
-# bit-identical across engines, BENCH_PR6.json (docs/vectorized.md).
-vector-bench:
-	PYTHONPATH=src python benchmarks/bench_vector.py
 
 # Vector differ stage on a small corpus: the batch engines of
 # repro.sim.vector vs their scalar counterparts, first-diverging-event

@@ -17,10 +17,10 @@ import numpy as np
 from conftest import publish
 
 from repro.core.config import StreamConfig, StrideDetector
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
-from repro.sim.runner import run_streams, simulate_l1
+from repro.sim.runner import run_result, simulate_l1
 from repro.sim.sweep import sweep_depth
+from repro.sim.vector import replay_streams
 from repro.trace.sampling import time_sample
 from repro.workloads import NON_UNIT_STRIDE_BENCHMARKS, get_workload
 
@@ -74,7 +74,7 @@ def test_lookup_depth(benchmark, miss_cache, results_dir):
         for name in names:
             rows = []
             for lookup_depth in (1, 2, 4):
-                stats = run_streams(
+                stats = run_result(
                     name,
                     StreamConfig(
                         n_streams=10,
@@ -83,7 +83,7 @@ def test_lookup_depth(benchmark, miss_cache, results_dir):
                         lookup_depth=lookup_depth,
                     ),
                     cache=miss_cache,
-                )
+                ).streams
                 rows.append(
                     (lookup_depth, stats.hit_rate_percent, stats.bandwidth.eb_measured)
                 )
@@ -116,11 +116,11 @@ def test_min_delta_vs_czone(benchmark, miss_cache, results_dir):
     def run():
         out = {}
         for name in NON_UNIT_STRIDE_BENCHMARKS:
-            unit = run_streams(name, StreamConfig.filtered(), cache=miss_cache)
-            czone = run_streams(
+            unit = run_result(name, StreamConfig.filtered(), cache=miss_cache).streams
+            czone = run_result(
                 name, StreamConfig.non_unit(czone_bits=19), cache=miss_cache
-            )
-            min_delta = run_streams(
+            ).streams
+            min_delta = run_result(
                 name,
                 StreamConfig(
                     n_streams=10,
@@ -128,7 +128,7 @@ def test_min_delta_vs_czone(benchmark, miss_cache, results_dir):
                     stride_detector=StrideDetector.MIN_DELTA,
                 ),
                 cache=miss_cache,
-            )
+            ).streams
             out[name] = (
                 unit.hit_rate_percent,
                 czone.hit_rate_percent,
@@ -160,11 +160,11 @@ def test_min_lead_latency_model(benchmark, miss_cache, results_dir):
         for name in names:
             rows = []
             for lead in (0, 1, 2, 4):
-                stats = run_streams(
+                stats = run_result(
                     name,
                     StreamConfig.filtered().with_(min_lead=lead),
                     cache=miss_cache,
-                )
+                ).streams
                 rows.append((lead, stats.hit_rate_percent, stats.in_flight_matches))
             out[name] = rows
         return out
@@ -201,10 +201,10 @@ def test_partitioned_streams(benchmark, miss_cache, results_dir):
 
             workload._trace = with_instructions(workload.trace(), per_access=1)
             miss_trace, _ = simulate_l1(workload)
-            unified = StreamPrefetcher(StreamConfig.filtered()).run(miss_trace)
-            partitioned = StreamPrefetcher(
-                StreamConfig.filtered().with_(partitioned=True, i_streams=2)
-            ).run(miss_trace)
+            unified = replay_streams(StreamConfig.filtered(), miss_trace)
+            partitioned = replay_streams(
+                StreamConfig.filtered().with_(partitioned=True, i_streams=2), miss_trace
+            )
             out[name] = (
                 unified.hit_rate_percent,
                 partitioned.hit_rate_percent,
@@ -236,12 +236,12 @@ def test_time_sampling_validation(benchmark, miss_cache, results_dir):
         for name in names:
             workload = get_workload(name)
             full_mt, _ = simulate_l1(workload)
-            full = StreamPrefetcher(StreamConfig.filtered()).run(full_mt)
+            full = replay_streams(StreamConfig.filtered(), full_mt)
 
             sampled_workload = get_workload(name)
             sampled_workload._trace = time_sample(workload.trace())
             sampled_mt, _ = simulate_l1(sampled_workload)
-            sampled = StreamPrefetcher(StreamConfig.filtered()).run(sampled_mt)
+            sampled = replay_streams(StreamConfig.filtered(), sampled_mt)
             out[name] = (full.hit_rate_percent, sampled.hit_rate_percent)
         return out
 

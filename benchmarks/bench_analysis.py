@@ -15,17 +15,14 @@ Figure 3's saturation argument is about.
 
 from conftest import publish
 
-from repro.analysis import (
-    decompose_runs,
-    predict_no_filter,
-    predict_with_filter,
-    profile_block_stream,
-)
+from repro.analysis import decompose_runs, predict_no_filter, predict_with_filter
+from repro.analytic.model import fa_hit_rate
+from repro.analytic.profile import profile_miss_trace
 from repro.caches.cache import CacheConfig
 from repro.caches.secondary import simulate_secondary
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
+from repro.sim.vector import replay_streams
 from repro.workloads import PAPER_BENCHMARKS
 
 
@@ -36,8 +33,8 @@ def test_analysis_vs_simulation(benchmark, miss_cache, results_dir):
             mt, _ = miss_cache.get(name)
             unbounded = decompose_runs(mt)
             bounded = decompose_runs(mt, max_open=10)
-            plain_sim = StreamPrefetcher(StreamConfig.jouppi()).run(mt)
-            filt_sim = StreamPrefetcher(StreamConfig.filtered()).run(mt)
+            plain_sim = replay_streams(StreamConfig.jouppi(), mt)
+            filt_sim = replay_streams(StreamConfig.filtered(), mt)
             out[name] = {
                 "bound": predict_no_filter(unbounded).hit_rate_percent,
                 "pred10": predict_no_filter(bounded).hit_rate_percent,
@@ -88,10 +85,10 @@ def test_stack_distance_vs_l2_simulation(benchmark, miss_cache, results_dir):
         out = {}
         for name in names:
             mt, _ = miss_cache.get(name)
-            profile = profile_block_stream(mt, demand_only=False)
+            profile = profile_miss_trace(mt, (64,))[64]
             rows = []
             for capacity in capacities:
-                analytic_hit = profile.reuse_fraction_within(capacity // 64)
+                analytic_hit = fa_hit_rate(profile, capacity)
                 simulated = simulate_secondary(
                     mt,
                     CacheConfig(capacity=capacity, assoc=4, block_size=64, policy="lru"),

@@ -28,9 +28,9 @@ from repro.baselines import (
     ReferencePredictionTable,
 )
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
 from repro.sim.runner import MissTraceCache
+from repro.sim.vector import replay_streams
 
 BENCHES = ("embar", "mgrid", "cgm", "buk", "appsp", "appbt", "trfd", "mdg")
 
@@ -42,8 +42,8 @@ def test_baseline_comparison(benchmark, results_dir):
         out = {}
         for name in BENCHES:
             mt, _ = pc_cache.get(name)
-            plain = StreamPrefetcher(StreamConfig.jouppi()).run(mt)
-            czone = StreamPrefetcher(StreamConfig.non_unit(czone_bits=19)).run(mt)
+            plain = replay_streams(StreamConfig.jouppi(), mt)
+            czone = replay_streams(StreamConfig.non_unit(czone_bits=19), mt)
             obl = OneBlockLookahead(entries=16, tagged=True).run(mt)
             pcache = PrefetchingCache(blocks=16).run(mt)
             rpt = ReferencePredictionTable(table_entries=64, buffer_entries=32).run(mt)

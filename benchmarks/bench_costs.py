@@ -15,9 +15,9 @@ from conftest import publish
 from repro.caches.cache import CacheConfig
 from repro.caches.secondary import simulate_secondary
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.costs import bandwidth_affordable
 from repro.reporting.tables import render_table
+from repro.sim.vector import replay_streams
 from repro.timing import TimingModel, l2_system_timing, stream_system_timing
 
 BENCHES = ("embar", "mgrid", "cgm", "appsp", "applu", "spec77", "bdna", "mdg", "adm")
@@ -37,7 +37,7 @@ def test_equal_cost_comparison(benchmark, miss_cache, results_dir):
         out = {}
         for name in BENCHES:
             mt, summary = miss_cache.get(name)
-            streams = StreamPrefetcher(StreamConfig.non_unit(czone_bits=19)).run(mt)
+            streams = replay_streams(StreamConfig.non_unit(czone_bits=19), mt)
             l2 = simulate_secondary(mt, l2_config, sample_every=4)
             l2_amat = l2_system_timing(summary, l2, model).amat
             stream_amat = stream_system_timing(summary, streams, stream_model).amat

@@ -26,11 +26,6 @@ A fifth phase prices the **telemetry subsystem** (``repro.obs``) on
 the same warm store: traced vs untraced sweeps, gated at 5% overhead,
 recorded in ``BENCH_PR5.json`` (see ``bench_obs.py``).
 
-A sixth phase gates the **vectorized replay engine**
-(``repro.sim.vector``): scalar vs vector ``l1.simulate`` span times and
-the warm jobs=1 sweep wall time, bit-identical across engines, recorded
-in ``BENCH_PR6.json`` (see ``bench_vector.py``).
-
 Run via ``make bench-quick`` (or ``PYTHONPATH=src python
 benchmarks/bench_quick.py``).
 """
@@ -161,10 +156,6 @@ def main() -> int:
 
         obs_payload = bench_obs.overhead_probe(build_tasks(), store)
 
-        import bench_vector
-
-        vector_payload = bench_vector.vector_probe(build_tasks(), store)
-
     identical = serial_stats == warm_stats
     speedup = serial_s / parallel_warm_s
     print(f"\nwarm-vs-cold speedup: {speedup:.1f}x   bit-identical: {identical}")
@@ -227,14 +218,6 @@ def main() -> int:
             f"FAIL: telemetry overhead "
             f"{100 * obs_payload['overhead_fraction']:.1f}% > "
             f"{100 * obs_payload['max_overhead_fraction']:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    if not vector_payload["pass"]:
-        print(
-            "FAIL: vector engine speedup below gate "
-            f"(l1 {vector_payload['l1_simulate_span']['speedup']}x, "
-            f"sweep {vector_payload['warm_sweep_jobs1']['speedup']}x)",
             file=sys.stderr,
         )
         return 1

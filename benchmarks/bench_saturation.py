@@ -9,9 +9,9 @@ the stream count where the hit rate saturates: it should track K.
 from conftest import publish
 
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
 from repro.sim.runner import simulate_l1
+from repro.sim.vector import replay_streams
 from repro.trace.events import Trace
 from repro.workloads.base import BenchmarkInfo, Workload
 from repro.workloads.kernels import ascending, loop, read
@@ -55,9 +55,7 @@ def test_saturation_tracks_walk_count(benchmark, results_dir):
             miss_trace, _ = simulate_l1(_KWalks(k))
             hits = {}
             for n in stream_counts:
-                stats = StreamPrefetcher(StreamConfig.jouppi(n_streams=n)).run(
-                    miss_trace
-                )
+                stats = replay_streams(StreamConfig.jouppi(n_streams=n), miss_trace)
                 hits[n] = stats.hit_rate_percent
             out[k] = hits
         return out

@@ -19,8 +19,8 @@ from conftest import publish
 from repro.caches.secondary import simulate_secondary
 from repro.caches.cache import CacheConfig
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
+from repro.sim.vector import replay_streams
 from repro.timing import TimingModel, l2_system_timing, stream_system_timing
 
 BENCHES = ("mgrid", "cgm", "appsp", "bdna", "mdg")
@@ -35,7 +35,7 @@ def test_timing_tradeoff(benchmark, miss_cache, results_dir):
         out = {}
         for name in BENCHES:
             mt, summary = miss_cache.get(name)
-            streams = StreamPrefetcher(StreamConfig.non_unit(czone_bits=19)).run(mt)
+            streams = replay_streams(StreamConfig.non_unit(czone_bits=19), mt)
             l2 = simulate_secondary(mt, L2_CONFIG)
             l2_report = l2_system_timing(summary, l2, base_model)
             stream_reports = {

@@ -12,8 +12,8 @@ from conftest import publish
 from repro.caches.cache import Cache, CacheConfig
 from repro.caches.victim import CacheWithVictim, VictimCacheConfig
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.reporting.tables import render_table
+from repro.sim.vector import replay_streams
 from repro.trace.compress import compress_consecutive
 from repro.workloads import get_workload
 
@@ -38,7 +38,7 @@ def _run(name, l1_kind):
         )
         miss_trace = system.simulate(trace)
         misses = miss_trace.n_misses
-    stats = StreamPrefetcher(StreamConfig.filtered()).run(miss_trace)
+    stats = replay_streams(StreamConfig.filtered(), miss_trace)
     return misses, stats.hit_rate_percent
 
 

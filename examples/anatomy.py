@@ -12,9 +12,9 @@ Usage:
 import sys
 
 from repro.analysis import decompose_runs, predict_no_filter, predict_with_filter
-from repro.core import StreamConfig, StreamPrefetcher
+from repro.core import StreamConfig
 from repro.core.lengths import LENGTH_BUCKETS, bucket_label
-from repro.sim import MissTraceCache
+from repro.sim import MissTraceCache, replay_streams
 
 
 def main() -> None:
@@ -50,10 +50,10 @@ def main() -> None:
     for label, config in (("no filter", StreamConfig.jouppi()),
                           ("with filter", StreamConfig.filtered()),
                           ("filter + czone", StreamConfig.non_unit(czone_bits=19))):
-        stats = StreamPrefetcher(config).run(miss_trace)
+        stats = replay_streams(config, miss_trace)
         print(f"  {label:14s}: hit {stats.hit_rate_percent:5.1f}%  "
               f"EB {stats.bandwidth.eb_measured:6.1f}%")
-    stats = StreamPrefetcher(StreamConfig.jouppi()).run(miss_trace)
+    stats = replay_streams(StreamConfig.jouppi(), miss_trace)
     row = stats.lengths.as_row()
     print()
     print("stream lengths, % of hits (Table 3 buckets):")

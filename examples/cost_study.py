@@ -13,9 +13,8 @@ import sys
 from repro.caches.cache import CacheConfig
 from repro.caches.secondary import simulate_secondary
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamPrefetcher
 from repro.costs import bandwidth_affordable, l2_design_cost, stream_design_cost
-from repro.sim import MissTraceCache
+from repro.sim import MissTraceCache, replay_streams
 from repro.timing import TimingModel, l2_system_timing, stream_system_timing
 
 L2_MB = 2.0
@@ -39,7 +38,7 @@ def main() -> None:
 
     cache = MissTraceCache()
     miss_trace, summary = cache.get(workload)
-    streams = StreamPrefetcher(StreamConfig.non_unit(czone_bits=19)).run(miss_trace)
+    streams = replay_streams(StreamConfig.non_unit(czone_bits=19), miss_trace)
     l2 = simulate_secondary(
         miss_trace,
         CacheConfig(capacity=int(L2_MB * (1 << 20)), assoc=4, block_size=64, policy="lru"),

@@ -49,7 +49,6 @@ from repro.sim import (
     ServiceLevel,
     min_matching_l2_size,
     run_result,
-    run_streams,
     sweep_czone_bits,
     sweep_n_streams,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "min_matching_l2_size_analytic",
     "profile_miss_trace",
     "run_result",
-    "run_streams",
     "sweep_czone_bits",
     "sweep_n_streams",
     "workload_names",

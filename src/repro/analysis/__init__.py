@@ -6,15 +6,11 @@ from repro.analysis.predict import (
     predict_with_filter,
 )
 from repro.analysis.runs import RunDecomposition, decompose_runs
-from repro.analysis.stack import StackProfile, profile_block_stream, stack_distances
 
 __all__ = [
     "RunDecomposition",
-    "StackProfile",
     "StreamPrediction",
     "decompose_runs",
     "predict_no_filter",
     "predict_with_filter",
-    "profile_block_stream",
-    "stack_distances",
 ]

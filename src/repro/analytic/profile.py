@@ -16,9 +16,9 @@ fully-associative evaluation is therefore bit-identical to simulating an
 ``n_sets == 1`` LRU cache over the same trace (the differ stage in
 :mod:`repro.check.differ` enforces this against the golden oracle).
 
-The pass is the standard O(n log n) Fenwick-tree algorithm, inlined here
-(rather than reusing :mod:`repro.analysis.stack`) so one traversal fills
-the read and write histograms and the cold/write-back counters together.
+The pass is the standard O(n log n) Fenwick-tree algorithm, inlined so
+one traversal fills the read and write histograms and the cold/write-back
+counters together.
 """
 
 from __future__ import annotations

@@ -23,18 +23,20 @@ numbers).
 The rows, in corpus order:
 
 * ``l1`` — a random access trace through a random cache geometry via the
-  production :func:`~repro.sim.runner.simulate_l1` path on both engines
-  (compression, fast paths, split I+D included) vs
+  production :func:`~repro.sim.runner.simulate_l1` dispatch and its
+  scalar fallback :func:`~repro.sim.runner.scalar_simulate_l1`
+  (compression, split I+D included) vs
   :func:`~repro.check.oracle.ref_simulate_l1`;
 * ``streams`` — a synthetic miss-event stream through a random
   :class:`~repro.core.config.StreamConfig`, per event (first diverging
   outcome) and via the bulk ``run()`` path, vs
   :class:`~repro.check.oracle.RefStreamPrefetcher`;
-* ``victim`` / ``misscache`` / ``hybrid`` — the production secondary
-  mechanisms of :mod:`repro.mechanisms`, per event and via
-  :func:`~repro.sim.vector.replay_secondary` (for
-  hybrids on both engines: the two-phase residual formulation proved
-  equal to the oracle's online composition), vs the golden models;
+* ``victim`` / ``misscache`` — the production buffers of
+  :mod:`repro.mechanisms`, per event and via
+  :func:`~repro.sim.vector.replay_secondary`, vs the golden models;
+* ``hybrid`` — :func:`~repro.sim.vector.replay_secondary`'s two-phase
+  residual composition (its stream member on whichever engine the drawn
+  config selects) vs the oracle's online composition;
 * ``analytic`` — the stack-distance profiler's fully-associative LRU hit
   counts (:mod:`repro.analytic.profile`) vs driving a one-set
   :class:`~repro.check.oracle.RefCache` with L2 semantics over the same
@@ -51,11 +53,14 @@ The rows, in corpus order:
 :func:`diff_registry_workload` runs a real registry workload at small
 scale through the full L1 + streams pipeline vs both oracles; its
 divergences replay as ``registry:<name>@<scale>:<seed>``.
+
+A divergence prints the ``repro check`` line that rebuilds its case: the
+replay key, the event budget when it is not :data:`DEFAULT_EVENTS`, and
+``REPRO_CHECK=1`` when the invariants were armed.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -71,10 +76,8 @@ from repro.core.bank import Lookup
 from repro.core.config import StreamConfig, StrideDetector
 from repro.core.prefetcher import StreamPrefetcher
 from repro.mechanisms import MechanismConfig, build_mechanism
-from repro.sim.runner import simulate_l1
+from repro.sim.runner import scalar_simulate_l1, simulate_l1
 from repro.sim.vector import (
-    DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
     replay_secondary,
     replay_streams,
     vector_replay_streams,
@@ -107,27 +110,22 @@ __all__ = [
     "check_seed",
     "replay",
     "run_corpus",
+    "DEFAULT_EVENTS",
     "DEFAULT_REGISTRY_WORKLOADS",
     "DEFAULT_STAGES",
     "STAGE_FUNCTIONS",
 ]
 
 
-def _engine_settings() -> str:
-    """This process's engine settings that differ from the defaults, as
-    environment assignments (``"REPRO_CHECK=1 REPRO_ENGINE=scalar"``).
+#: Events per generated trace in a ``repro check`` corpus run.
+DEFAULT_EVENTS = 2500
 
-    Armed invariants and the engine choice select which simulator paths
-    run, so a divergence replays only under the settings it was found
-    with.
-    """
-    settings = []
-    if _inv.ENABLED:
-        settings.append("REPRO_CHECK=1")
-    engine = os.environ.get(ENGINE_ENV_VAR, "")
-    if engine and engine != DEFAULT_ENGINE:
-        settings.append(f"{ENGINE_ENV_VAR}={engine}")
-    return " ".join(settings)
+
+def _check_settings() -> str:
+    """``"REPRO_CHECK=1"`` when this process armed the invariants, else
+    empty: armed invariants route every input to the scalar paths, so a
+    divergence replays only under the setting it was found with."""
+    return "REPRO_CHECK=1" if _inv.ENABLED else ""
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,11 @@ class Divergence:
         optimized: the optimized simulator's value, rendered.
         expected: the oracle's value, rendered.
         context: extra detail (configs of the case).
-        settings: the non-default engine settings in force when the
-            divergence was found; the replay line sets them again.
+        settings: ``REPRO_CHECK=1`` when the divergence was found with
+            the invariants armed; the replay line sets it again.
+        n_events: the event budget the case was built with (None for a
+            registry workload, whose input has no budget); the replay
+            line passes it when it is not :data:`DEFAULT_EVENTS`.
     """
 
     stage: str
@@ -152,7 +153,8 @@ class Divergence:
     optimized: str
     expected: str
     context: str = ""
-    settings: str = field(default_factory=_engine_settings)
+    settings: str = field(default_factory=_check_settings)
+    n_events: Optional[int] = None
 
     def __str__(self) -> str:
         lines = [
@@ -163,6 +165,8 @@ class Divergence:
         if self.context:
             lines.append(f"  context:   {self.context}")
         command = f"repro check --replay {self.stage}:{self.seed}"
+        if self.n_events is not None and self.n_events != DEFAULT_EVENTS:
+            command += f" --events {self.n_events}"
         if self.settings:
             command = f"{self.settings} {command}"
         lines.append(f"  replay:    {command}")
@@ -504,20 +508,27 @@ class Stage:
     runners: Tuple[Tuple[str, Runner], ...]
     reference: Runner
     salt: int = 0
-    events: int = 2500
+    events: int = DEFAULT_EVENTS
     case: Optional[Callable[[random.Random, int], Dict[str, object]]] = None
     inputs: Tuple[str, ...] = ("config",)
     derived: Mapping[str, str] = field(default_factory=dict)
     check: Optional[Callable[[Dict[str, object]], Optional[Tuple[str, str, str]]]] = None
 
     def __call__(self, seed: int, n_events: Optional[int] = None) -> Optional[Divergence]:
-        rng = random.Random(seed * self.salt % (1 << 31))
-        case = self.case(rng, self.events if n_events is None else n_events)
-        return self.diff(case, seed, self.name)
+        n_events = self.events if n_events is None else n_events
+        case = self.case(random.Random(seed * self.salt % (1 << 31)), n_events)
+        return self.diff(case, seed, self.name, n_events)
 
-    def diff(self, case: Dict[str, object], seed: int, label: str) -> Optional[Divergence]:
+    def diff(
+        self,
+        case: Dict[str, object],
+        seed: int,
+        label: str,
+        n_events: Optional[int] = None,
+    ) -> Optional[Divergence]:
         """The first divergence of any runner from the reference on
-        ``case``, reported under the stage ``label``."""
+        ``case`` (built with ``n_events`` events), reported under the
+        stage ``label``."""
         context = "; ".join(
             f"{key}={value}" for key, value in case.items()
             if not isinstance(value, (Trace, MissTrace))
@@ -532,11 +543,11 @@ class Stage:
                     path, mine, theirs = found
                     return Divergence(
                         label, seed, f"{runner}: {path}", _render(mine), _render(theirs),
-                        context,
+                        context, n_events=n_events,
                     )
         failed = self.check(case) if self.check is not None else None
         if failed is not None:
-            return Divergence(label, seed, *failed, context=context)
+            return Divergence(label, seed, *failed, context=context, n_events=n_events)
         return None
 
 
@@ -612,11 +623,9 @@ def _l1_case(rng: random.Random, n_events: int) -> Dict[str, object]:
     return {"config": random_cache_config(rng), "trace": random_trace(rng, n_events)}
 
 
-def _simulate_l1(engine: str) -> Runner:
+def _l1_runner(simulate) -> Runner:
     def run(case):
-        miss_trace, summary = simulate_l1(
-            _FixedWorkload(case["trace"]), case["config"], engine=engine
-        )
+        miss_trace, summary = simulate(_FixedWorkload(case["trace"]), case["config"])
         return {"events": _events(miss_trace), "summary": summary}
 
     return run
@@ -645,19 +654,10 @@ def _mechanism_per_event(case) -> Dict[str, object]:
     return {"outcomes": outcomes, "stats": mechanism.finalize()}
 
 
-def _replay_secondary(engine: str) -> Runner:
-    # The store/sweep dispatcher: the two-phase residual for hybrids.
-    return lambda case: {
-        "stats": replay_secondary(case["config"], case["miss_trace"], engine=engine)
-    }
-
-
-#: The bulk ``run()`` loop is ``replay_secondary``'s scalar path for a
-#: victim or miss cache, and the per-event drive's calls for a hybrid.
-_MECHANISM_RUNNERS: Tuple[Tuple[str, Runner], ...] = (
-    ("per-event", _mechanism_per_event),
-    ("replay_secondary[scalar]", _replay_secondary("scalar")),
-)
+def _replay_secondary(case) -> Dict[str, object]:
+    # The store/sweep dispatcher: the bulk run() loop for a victim or
+    # miss cache, the two-phase residual composition for a hybrid.
+    return {"stats": replay_secondary(case["config"], case["miss_trace"])}
 
 
 def _reference_mechanism(case) -> Dict[str, object]:
@@ -833,7 +833,10 @@ diff_l1 = Stage(
     salt=2654435761,
     events=3000,
     case=_l1_case,
-    runners=(("scalar", _simulate_l1("scalar")), ("vector", _simulate_l1("vector"))),
+    runners=(
+        ("scalar", _l1_runner(scalar_simulate_l1)),
+        ("simulate_l1", _l1_runner(simulate_l1)),
+    ),
     reference=lambda case: _ref_l1(case["trace"], case["config"]),
     inputs=("data_set_bytes",),
 )
@@ -861,7 +864,7 @@ diff_victim = Stage(
     salt=3266489917,
     events=2000,
     case=_config_and_misses(random_victim_config),
-    runners=_MECHANISM_RUNNERS,
+    runners=(("per-event", _mechanism_per_event), ("replay_secondary", _replay_secondary)),
     reference=_reference_mechanism,
     derived=_BANDWIDTH,
 )
@@ -874,8 +877,7 @@ diff_misscache = replace(
 diff_hybrid = replace(
     diff_victim, name="hybrid", salt=374761393,
     case=_config_and_misses(random_hybrid_config),
-    runners=_MECHANISM_RUNNERS
-    + (("replay_secondary[vector]", _replay_secondary("vector")),),
+    runners=(("replay_secondary", _replay_secondary),),
 )
 
 diff_analytic = Stage(
@@ -940,8 +942,8 @@ _REGISTRY_STREAMS = (
 
 
 def _registry_pipeline(case) -> Dict[str, object]:
-    # The production default engine (REPRO_ENGINE, else vector): the
-    # flat-window stream engine where a config allows it, scalar otherwise.
+    # The production dispatch: the batch engines where a config allows
+    # them, scalar otherwise (and everywhere under REPRO_CHECK=1).
     miss_trace, summary = simulate_l1(case["workload"], case["config"])
     parts = {"l1": {"events": _events(miss_trace), "summary": summary}}
     for label, config in _REGISTRY_STREAMS:
@@ -1017,7 +1019,7 @@ def replay(key: str, n_events: Optional[int] = None) -> Optional[Divergence]:
 
 
 def check_seed(
-    seed: int, n_events: int = 2500, stages: Sequence[str] = DEFAULT_STAGES
+    seed: int, n_events: int = DEFAULT_EVENTS, stages: Sequence[str] = DEFAULT_STAGES
 ) -> List[Divergence]:
     """Run the random-trace stages for one seed."""
     found = []
@@ -1031,7 +1033,7 @@ def check_seed(
 def run_corpus(
     seeds: int = 50,
     seed_start: int = 0,
-    n_events: int = 2500,
+    n_events: int = DEFAULT_EVENTS,
     registry: bool = True,
     registry_scale: float = 0.05,
     registry_workloads: Sequence[str] = DEFAULT_REGISTRY_WORKLOADS,

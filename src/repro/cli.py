@@ -26,7 +26,6 @@ accept ``--trace-out FILE`` (Perfetto-loadable span trace) and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import List, Optional
@@ -34,7 +33,7 @@ from typing import List, Optional
 from repro.core.config import StreamConfig, StrideDetector
 from repro.reporting import experiments
 from repro.sim.runner import MissTraceCache, run_result
-from repro.sim.vector import ENGINE_ENV_VAR, ENGINES, replay_streams
+from repro.sim.vector import replay_streams
 from repro.trace.stats import profile_trace
 from repro.trace.store import TraceStore
 from repro.workloads import all_benchmarks, get_workload
@@ -423,14 +422,6 @@ def _add_engine_flags(command: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="persistent miss-trace/result store directory (reused across runs)",
-    )
-    command.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="replay engine: 'vector' (batch, the default) or 'scalar' "
-        "(per-event reference loops); exported as REPRO_ENGINE so worker "
-        "processes inherit it (see docs/vectorized.md)",
     )
 
 
@@ -1259,10 +1250,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine", None):
-        # Through the environment rather than plumbed arguments so that
-        # spawn-based worker processes make the same engine choice.
-        os.environ[ENGINE_ENV_VAR] = args.engine
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -1,18 +1,21 @@
 """Secondary mechanisms: stream buffers and their Jouppi '90 siblings.
 
 The paper's question — can a small hardware structure replace a
-megabyte-class L2? — is asked here for the whole mechanism zoo:
+megabyte-class L2? — is asked here for the whole mechanism zoo, each
+described by one :class:`MechanismConfig` and reporting :class:`MechStats`:
 
-* :class:`StreamMechanism` — the paper's stream buffers (adapter over
-  :class:`~repro.core.prefetcher.StreamPrefetcher`);
+* ``streams`` — the paper's stream buffers
+  (:class:`~repro.core.prefetcher.StreamPrefetcher`);
 * :class:`VictimCache` — small FA buffer of L1 evictions (exclusive);
 * :class:`MissCache` — small FA cache of missed blocks (inclusive);
-* :class:`HybridStack` — serial composition (VC+SB, MC+SB).
+* ``hybrid`` — serial composition (VC+SB, MC+SB).
 
-All share the :class:`SecondaryMechanism` protocol and produce
-:class:`MechStats`.  Engine-aware replay (vector dispatch for stream
-members) lives in :func:`repro.sim.vector.replay_secondary`; this package
-stays free of sim-layer imports so oracles and tools can use it directly.
+Victim and miss caches share the event-driven :class:`SecondaryMechanism`
+protocol.  :func:`repro.sim.vector.replay_secondary` is the one way to
+replay any config: it dispatches stream members to the stream engines and
+composes hybrids from the members' ``run_filter`` residuals.  This
+package stays free of sim-layer imports so oracles and tools can use it
+directly.
 
 See ``docs/mechanisms.md`` for semantics and composition rules.
 """
@@ -22,14 +25,14 @@ from repro.mechanisms.base import (
     MechanismConfig,
     MechStats,
     SecondaryMechanism,
+    combine_member_stats,
+    mech_stats_from_streams,
     mechanism_from_dict,
     mechanism_label,
     mechanism_to_dict,
     parse_mechanism_spec,
 )
-from repro.mechanisms.hybrid import HybridStack, build_mechanism, combine_member_stats
 from repro.mechanisms.misscache import MissCache
-from repro.mechanisms.streams import StreamMechanism, mech_stats_from_streams
 from repro.mechanisms.victim import VictimCache
 
 __all__ = [
@@ -41,11 +44,25 @@ __all__ = [
     "mechanism_to_dict",
     "mechanism_from_dict",
     "parse_mechanism_spec",
-    "HybridStack",
     "build_mechanism",
     "combine_member_stats",
     "MissCache",
-    "StreamMechanism",
     "mech_stats_from_streams",
     "VictimCache",
 ]
+
+
+def build_mechanism(config: MechanismConfig) -> SecondaryMechanism:
+    """Instantiate the victim or miss cache described by ``config``.
+
+    Stream and hybrid configs have no per-event object: replay them
+    through :func:`repro.sim.vector.replay_secondary`.
+    """
+    if config.kind == "victim":
+        return VictimCache(config)
+    if config.kind == "misscache":
+        return MissCache(config)
+    raise ValueError(
+        f"no per-event mechanism for kind {config.kind!r}; "
+        "replay it through repro.sim.vector.replay_secondary"
+    )

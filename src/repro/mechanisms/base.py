@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,8 @@ __all__ = [
     "MechanismConfig",
     "MechStats",
     "SecondaryMechanism",
+    "combine_member_stats",
+    "mech_stats_from_streams",
     "mechanism_label",
     "mechanism_to_dict",
     "mechanism_from_dict",
@@ -206,8 +208,60 @@ class MechStats:
         )
 
 
+def mech_stats_from_streams(config: MechanismConfig, stream_stats: "StreamStats") -> MechStats:
+    """Wrap a finished :class:`StreamStats` as mechanism statistics.
+
+    The paper's hit rate: only :data:`~repro.core.bank.Lookup.HIT`
+    services a miss (``in_flight_matches`` stay inside the embedded
+    stream statistics), and the full stream statistics survive on
+    ``MechStats.streams`` so bandwidth/EB reporting keeps its depth-aware
+    accounting.  Replays and store reads both wrap through here, so
+    store round-trips are bit-exact.
+    """
+    return MechStats(
+        config=config,
+        demand_misses=stream_stats.demand_misses,
+        hits=stream_stats.stream_hits,
+        ifetch_misses=stream_stats.ifetch_misses,
+        writebacks=stream_stats.writebacks,
+        invalidations=stream_stats.invalidations,
+        allocations=stream_stats.allocations,
+        prefetches_issued=stream_stats.prefetches_issued,
+        prefetches_used=stream_stats.prefetches_used,
+        streams=stream_stats,
+    )
+
+
+def combine_member_stats(
+    config: MechanismConfig, member_stats: Sequence[MechStats]
+) -> MechStats:
+    """Fold a hybrid stack's per-member statistics into the stack's view.
+
+    The front member saw every event, so it owns the trace-level counters;
+    hits and resource counters sum across members.
+    """
+    front = member_stats[0]
+    streams = next((ms.streams for ms in member_stats if ms.streams is not None), None)
+    return MechStats(
+        config=config,
+        demand_misses=front.demand_misses,
+        hits=sum(ms.hits for ms in member_stats),
+        ifetch_misses=front.ifetch_misses,
+        writebacks=front.writebacks,
+        invalidations=sum(ms.invalidations for ms in member_stats),
+        allocations=sum(ms.allocations for ms in member_stats),
+        evictions=sum(ms.evictions for ms in member_stats),
+        writebacks_out=sum(ms.writebacks_out for ms in member_stats),
+        prefetches_issued=sum(ms.prefetches_issued for ms in member_stats),
+        prefetches_used=sum(ms.prefetches_used for ms in member_stats),
+        member_hits=tuple(ms.hits for ms in member_stats),
+        streams=streams,
+    )
+
+
 class SecondaryMechanism(abc.ABC):
-    """Event-driven protocol shared by every secondary mechanism.
+    """Event-driven protocol of the victim and miss caches (a hybrid's
+    front members included; streams replay through the stream engines).
 
     Subclasses implement ``_probe`` (one demand miss; return True when
     serviced on-chip) and ``_writeback`` (a dirty block passing by).  The

@@ -15,7 +15,6 @@ from repro.sim.runner import (
     default_cache,
     resolve_workload_ref,
     run_result,
-    run_streams,
     simulate_l1,
 )
 from repro.sim.sweep import (
@@ -25,9 +24,7 @@ from repro.sim.sweep import (
     sweep_n_streams,
 )
 from repro.sim.vector import (
-    ENGINES,
     replay_streams,
-    resolve_engine,
     vector_replay_streams,
     vector_simulate_cache,
     vector_simulate_secondary,
@@ -35,7 +32,6 @@ from repro.sim.vector import (
 from repro.sim.system import MemorySystem, ServiceLevel, SystemStats
 
 __all__ = [
-    "ENGINES",
     "L1Summary",
     "MatchResult",
     "MemorySystem",
@@ -54,12 +50,10 @@ __all__ = [
     "min_matching_l2_size",
     "replay_streams",
     "replicate",
-    "resolve_engine",
     "resolve_workload_ref",
     "run_grid",
     "run_result",
     "summarize",
-    "run_streams",
     "simulate_l1",
     "sweep_czone_bits",
     "sweep_depth",

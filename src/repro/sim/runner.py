@@ -36,17 +36,10 @@ from repro.obs.events import StoreEvent, record_event
 from repro.obs.metrics import engine_registry
 from repro.obs.spans import get_tracer
 from repro.core.config import StreamConfig
-from repro.core.prefetcher import StreamStats
 from repro.mem.address import AddressSpace
-from repro.mechanisms import MechanismConfig, MechStats
+from repro.mechanisms import MechanismConfig
 from repro.sim.results import L1Summary, RunResult
-from repro.sim.vector import (
-    ENGINE_VECTOR,
-    replay_secondary,
-    replay_streams,
-    resolve_engine,
-    vector_simulate_cache,
-)
+from repro.sim.vector import replay_secondary, replay_streams, vector_simulate_cache
 from repro.trace.compress import compress_consecutive
 from repro.trace.events import AccessKind, Trace
 from repro.trace.store import TraceStore, canonical_scale, trace_digest
@@ -56,9 +49,8 @@ __all__ = [
     "MissTraceCache",
     "default_cache",
     "resolve_workload_ref",
-    "run_secondary",
-    "run_streams",
     "run_result",
+    "scalar_simulate_l1",
     "simulate_l1",
 ]
 
@@ -157,7 +149,6 @@ class MissTraceCache:
         store: Optional[TraceStore] = None,
         max_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
         hooks: Optional[Callable[[str], None]] = None,
-        engine: Optional[str] = None,
     ):
         if max_entries is not None and max_entries <= 0:
             raise ValueError(f"max_entries must be positive or None, got {max_entries}")
@@ -166,10 +157,6 @@ class MissTraceCache:
         self.store = store
         self.max_entries = max_entries
         self.hooks = hooks
-        # Engine choice never enters cache keys or store digests: the
-        # vector engine is bit-identical to the scalar one, so entries
-        # are interchangeable (None = resolve per call via REPRO_ENGINE).
-        self.engine = engine
         self._entries: "OrderedDict[_Key, Tuple[MissTrace, L1Summary]]" = OrderedDict()
         self._summaries: "OrderedDict[_Key, L1Summary]" = OrderedDict()
         # (workload, scale, seed) -> trace digest.  The L1 config and
@@ -222,9 +209,7 @@ class MissTraceCache:
         if instance is None:
             instance = get_workload(name, scale=scale, seed=seed)
         started = time.perf_counter()
-        result = simulate_l1(
-            instance, self.l1_config, keep_pcs=self.keep_pcs, engine=self.engine
-        )
+        result = simulate_l1(instance, self.l1_config, keep_pcs=self.keep_pcs)
         computed_s = time.perf_counter() - started
         if self.store is not None:
             self.store.put("trace", digest, result)
@@ -338,38 +323,58 @@ def simulate_l1(
     workload: Workload,
     l1_config: Optional[CacheConfig] = None,
     keep_pcs: bool = False,
-    engine: Optional[str] = None,
 ) -> Tuple[MissTrace, L1Summary]:
     """Run a workload's trace through the primary cache.
 
-    With the default ``vector`` engine, data-only traces through a
-    write-back write-allocate cache run through the batch engine of
-    :mod:`repro.sim.vector` (set-local run collapse + residue replay,
-    bit-identical to the scalar cache).  The scalar engine uses a single
-    D-cache with exact consecutive-same-block compression (see
-    :mod:`repro.trace.compress`); other write policies and traces
-    containing instruction fetches simulate the raw trace.  Synthetic
-    PCs are stripped unless ``keep_pcs`` (they are only needed by
-    PC-indexed baselines and disable the L1 fast paths).
+    Data-only traces that :func:`~repro.sim.vector.cache_vector_supported`
+    accepts (write-back write-allocate caches, no PCs kept) run through
+    the batch engine of :mod:`repro.sim.vector` (set-local run collapse +
+    residue replay, bit-identical to the scalar cache); everything else,
+    and every trace under ``REPRO_CHECK=1``, runs
+    :func:`scalar_simulate_l1`.  Synthetic PCs are stripped unless
+    ``keep_pcs`` (they are only needed by PC-indexed baselines and
+    disable the L1 fast paths).
     """
     config = l1_config if l1_config is not None else CacheConfig.paper_l1()
-    engine = resolve_engine(engine)
     started = time.perf_counter()
-    with get_tracer().span("l1.simulate", workload=workload.name, engine=engine):
-        result = _simulate_l1(workload, config, keep_pcs, engine)
+    with get_tracer().span("l1.simulate", workload=workload.name):
+        trace, has_ifetch = _l1_input(workload, keep_pcs)
+        vectorized = None if has_ifetch else vector_simulate_cache(config, trace)
+        if vectorized is None:
+            result = scalar_simulate_l1(workload, config, keep_pcs)
+        else:
+            miss_trace, stats = vectorized
+            result = miss_trace, L1Summary.from_stats(
+                stats, trace_length=len(trace), data_set_bytes=workload.data_set_bytes
+            )
     engine_registry().histogram(
         "engine_l1_sim_ms", "wall time of one L1 miss-trace simulation"
     ).observe(1e3 * (time.perf_counter() - started))
     return result
 
 
-def _simulate_l1(
-    workload: Workload, config: CacheConfig, keep_pcs: bool, engine: str = ENGINE_VECTOR
-) -> Tuple[MissTrace, L1Summary]:
+def _l1_input(workload: Workload, keep_pcs: bool) -> Tuple[Trace, bool]:
+    """The trace an L1 simulation consumes (synthetic PCs stripped unless
+    ``keep_pcs``) and whether it holds instruction fetches."""
     trace = workload.trace()
     has_ifetch = trace.has_ifetch  # cached on the memoized trace instance
     if trace.has_pcs and not keep_pcs:
         trace = Trace(trace.addrs, trace.kinds)
+    return trace, has_ifetch
+
+
+def scalar_simulate_l1(
+    workload: Workload, config: CacheConfig, keep_pcs: bool = False
+) -> Tuple[MissTrace, L1Summary]:
+    """The per-access L1 simulation :func:`simulate_l1` falls back to.
+
+    Traces with instruction fetches run a split I+D L1; otherwise a single
+    D-cache simulates the exact consecutive-same-block compression (see
+    :mod:`repro.trace.compress`) under write-back + write-allocate, and
+    the raw trace under other write policies.  It is the reference the
+    batch engine must match (the differ's ``l1`` stage runs both).
+    """
+    trace, has_ifetch = _l1_input(workload, keep_pcs)
     if has_ifetch:
         split = SplitL1(
             SplitL1Config(icache=replace(config, seed=config.seed + 1), dcache=config)
@@ -382,16 +387,6 @@ def _simulate_l1(
             ifetch_misses=split.icache.stats.misses,
         )
         return miss_trace, summary
-    if engine == ENGINE_VECTOR:
-        vectorized = vector_simulate_cache(config, trace)
-        if vectorized is not None:
-            miss_trace, stats = vectorized
-            summary = L1Summary.from_stats(
-                stats,
-                trace_length=len(trace),
-                data_set_bytes=workload.data_set_bytes,
-            )
-            return miss_trace, summary
     cache = Cache(config)
     if config.write_back and config.write_allocate:
         space = AddressSpace(block_size=config.block_size)
@@ -425,60 +420,20 @@ def default_cache() -> MissTraceCache:
     return _DEFAULT_CACHE
 
 
-def run_secondary(
-    workload: Union[str, Workload],
-    mechanism: MechanismConfig,
-    scale: float = 1.0,
-    seed: int = 0,
-    cache: Optional[MissTraceCache] = None,
-    engine: Optional[str] = None,
-) -> MechStats:
-    """Simulate any secondary mechanism over a workload's miss stream.
-
-    The mechanism-generic dispatcher behind :func:`run_streams`: the
-    cached miss trace replays through the mechanism described by
-    ``mechanism`` (streams, victim cache, miss cache, or a hybrid stack)
-    with engine dispatch handled by
-    :func:`~repro.sim.vector.replay_secondary`.
-    """
-    cache = cache if cache is not None else default_cache()
-    miss_trace, _ = cache.get(workload, scale=scale, seed=seed)
-    return replay_secondary(mechanism, miss_trace, engine=engine)
-
-
-def run_streams(
-    workload: Union[str, Workload],
-    config: StreamConfig,
-    scale: float = 1.0,
-    seed: int = 0,
-    cache: Optional[MissTraceCache] = None,
-    engine: Optional[str] = None,
-) -> StreamStats:
-    """Simulate one stream configuration over a workload's miss stream.
-
-    Backward-compatible wrapper over :func:`run_secondary` for the
-    ``streams`` mechanism.
-    """
-    stats = run_secondary(
-        workload,
-        MechanismConfig.for_streams(config),
-        scale=scale,
-        seed=seed,
-        cache=cache,
-        engine=engine,
-    )
-    assert stats.streams is not None
-    return stats.streams
-
-
 def run_result(
     workload: Union[str, Workload],
-    config: StreamConfig,
+    config: Union[StreamConfig, MechanismConfig],
     scale: float = 1.0,
     seed: int = 0,
     cache: Optional[MissTraceCache] = None,
 ) -> RunResult:
-    """Like :func:`run_streams` but bundled with the L1 summary.
+    """Simulate one configuration over a workload's cached miss stream.
+
+    Returns the :class:`RunResult` a :func:`~repro.sim.parallel.run_grid`
+    cell of ``config`` holds: ``.streams`` is :class:`StreamStats` for a
+    :class:`StreamConfig` and :class:`~repro.mechanisms.MechStats` for a
+    :class:`~repro.mechanisms.MechanismConfig` (streams, victim cache,
+    miss cache or a hybrid stack).
 
     The recorded provenance (workload/scale/seed) always reflects what
     was simulated: a :class:`Workload` instance's own parameters win over
@@ -488,5 +443,7 @@ def run_result(
     cache = cache if cache is not None else default_cache()
     name, scale, seed, _ = resolve_workload_ref(workload, scale, seed)
     miss_trace, summary = cache.get(workload, scale=scale, seed=seed)
-    stats = replay_streams(config, miss_trace)
-    return RunResult(workload=name, scale=scale, seed=seed, l1=summary, streams=stats)
+    replay = replay_secondary if isinstance(config, MechanismConfig) else replay_streams
+    return RunResult(
+        workload=name, scale=scale, seed=seed, l1=summary, streams=replay(config, miss_trace)
+    )

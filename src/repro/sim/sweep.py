@@ -3,7 +3,8 @@
 Each sweep replays the same miss trace under a family of stream
 configurations — the paper's Figure 3 (stream count), Figure 5 (filter
 on/off), Figure 8 (stride detector on/off) and Figure 9 (czone size) are
-all instances.
+all instances — or, through :func:`compare_configs`, under any named
+set of stream or mechanism configurations.
 
 All sweeps execute through :mod:`repro.sim.parallel`: pass ``jobs=N`` to
 fan the grid out over worker processes and ``store=`` a
@@ -29,7 +30,6 @@ __all__ = [
     "sweep_czone_bits",
     "sweep_depth",
     "compare_configs",
-    "sweep_mechanisms",
 ]
 
 WorkloadRef = Union[str, Workload]
@@ -100,41 +100,23 @@ def sweep_depth(
     return grid_stats(tasks, jobs=jobs, cache=cache, store=store)
 
 
-def sweep_mechanisms(
-    workload: WorkloadRef,
-    mechanisms: Dict[str, MechanismConfig],
-    scale: float = 1.0,
-    seed: int = 0,
-    cache: Optional[MissTraceCache] = None,
-    jobs: int = 1,
-    store: Optional[TraceStore] = None,
-) -> Dict[str, MechStats]:
-    """Run several named secondary mechanisms over one miss trace.
-
-    The mechanism-zoo sibling of :func:`compare_configs`: each cell
-    replays the same cached miss trace through a different
-    :class:`~repro.mechanisms.MechanismConfig` (streams, victim cache,
-    miss cache, or a hybrid stack), via the same store-memoised grid
-    engine.
-    """
-    cache = cache if cache is not None else default_cache()
-    tasks = [
-        SweepTask(key=label, workload=workload, config=mech, scale=scale, seed=seed)
-        for label, mech in mechanisms.items()
-    ]
-    return grid_stats(tasks, jobs=jobs, cache=cache, store=store)
-
-
 def compare_configs(
     workload: WorkloadRef,
-    configs: Dict[str, StreamConfig],
+    configs: Dict[str, Union[StreamConfig, MechanismConfig]],
     scale: float = 1.0,
     seed: int = 0,
     cache: Optional[MissTraceCache] = None,
     jobs: int = 1,
     store: Optional[TraceStore] = None,
-) -> Dict[str, StreamStats]:
-    """Run several named configurations over one miss trace."""
+) -> Dict[str, Union[StreamStats, MechStats]]:
+    """Run several named configurations over one miss trace.
+
+    Each cell replays the same cached miss trace through a
+    :class:`StreamConfig` (reported as :class:`StreamStats`) or any
+    :class:`~repro.mechanisms.MechanismConfig` — streams, victim cache,
+    miss cache or a hybrid stack (reported as :class:`MechStats`) —
+    through the store-memoised grid engine.
+    """
     cache = cache if cache is not None else default_cache()
     tasks = [
         SweepTask(key=label, workload=workload, config=config, scale=scale, seed=seed)

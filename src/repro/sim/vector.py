@@ -1,4 +1,4 @@
-"""Vectorized batch replay engines (scalar/vector engine selector).
+"""Vectorized batch replay engines and the dispatchers that choose them.
 
 The scalar simulators in :mod:`repro.caches.cache` and
 :mod:`repro.core.prefetcher` step access-by-access through Python loops;
@@ -43,21 +43,21 @@ Design (see docs/vectorized.md for the full argument):
   collapse; only hit/miss membership matters for the L2's counters, so
   the residue loop is even leaner than L1's.
 
-Engine choice: callers pass ``engine="scalar"|"vector"`` or leave it to
-:func:`resolve_engine`, which reads the ``REPRO_ENGINE`` environment
-variable (inherited by sweep worker processes) and defaults to
-``vector``.  Under ``REPRO_CHECK=1`` the vector engines stand down in
-favour of the scalar code so the per-operation runtime invariants keep
-their coverage; the differ's ``vector`` stage drives the batch engines
-directly (``force=True``) so they stay differentially tested even then.
+Engine dispatch depends on the input alone: each batch engine serves
+exactly the inputs its support predicate (:func:`cache_vector_supported`,
+:func:`streams_vector_supported`, :func:`secondary_vector_supported`)
+accepts and returns None elsewhere, and its dispatcher then runs the
+scalar code.  Under ``REPRO_CHECK=1`` every predicate refuses, so the
+scalar code's per-operation runtime invariants keep their coverage; the
+differ's ``vector`` stage drives the batch engines directly
+(``force=True``) so they stay differentially tested even then.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter, OrderedDict
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -68,17 +68,16 @@ from repro.core.config import StreamConfig
 from repro.core.filters import UnitStrideFilter
 from repro.core.lengths import StreamLengthHistogram, bucket_of
 from repro.core.prefetcher import StreamPrefetcher, StreamStats, build_stride_detector
+from repro.mechanisms import (
+    MechanismConfig,
+    MechStats,
+    build_mechanism,
+    combine_member_stats,
+    mech_stats_from_streams,
+)
 from repro.trace.events import AccessKind, Trace
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mechanisms import MechanismConfig, MechStats
-
 __all__ = [
-    "ENGINE_SCALAR",
-    "ENGINE_VECTOR",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
     "cache_vector_supported",
     "vector_simulate_cache",
     "streams_vector_supported",
@@ -89,29 +88,9 @@ __all__ = [
     "vector_simulate_secondary",
 ]
 
-ENGINE_SCALAR = "scalar"
-ENGINE_VECTOR = "vector"
-ENGINES = (ENGINE_SCALAR, ENGINE_VECTOR)
-
-#: Environment override for the default engine; sweep workers inherit it.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-DEFAULT_ENGINE = ENGINE_VECTOR
-
 _WRITE = int(AccessKind.WRITE)
 _WB = int(MissEventKind.WRITEBACK)
 _IFETCH_MISS = int(MissEventKind.IFETCH_MISS)
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine choice: explicit arg > ``REPRO_ENGINE`` > vector.
-
-    Raises:
-        ValueError: for an unknown engine name.
-    """
-    choice = engine if engine else os.environ.get(ENGINE_ENV_VAR, "") or DEFAULT_ENGINE
-    if choice not in ENGINES:
-        raise ValueError(f"unknown engine {choice!r}; expected one of {ENGINES}")
-    return choice
 
 
 # ---------------------------------------------------------------------------
@@ -168,22 +147,32 @@ def _fold_runs(
 # ---------------------------------------------------------------------------
 
 
-def cache_vector_supported(config: CacheConfig, trace: Trace) -> bool:
-    """Can :func:`vector_simulate_cache` replace ``Cache.simulate`` here?
-
-    The batch engine covers the dirty-collapse domain (write-back +
-    write-allocate; see :mod:`repro.trace.compress`) for all three
-    replacement policies.  PC-carrying traces keep the scalar path (miss
-    events would need per-event PC tracking), as does ``REPRO_CHECK=1``
-    so the per-access invariant hooks retain coverage.
-    """
+def _collapse_config(config: CacheConfig) -> bool:
+    """The set-local collapse's domain: write-back + write-allocate (the
+    dirty-collapse domain, see :mod:`repro.trace.compress`) under any of
+    the three replacement policies."""
     return (
         config.write_back
         and config.write_allocate
         and config.policy in ("random", "lru", "fifo")
-        and not trace.has_pcs
-        and not _inv.ENABLED
     )
+
+
+def _cache_envelope(config: CacheConfig, trace: Trace) -> bool:
+    """The L1 engine's envelope: the set-local collapse's domain over a
+    trace without PCs (miss events would need per-event PC tracking)."""
+    return _collapse_config(config) and not trace.has_pcs
+
+
+def cache_vector_supported(config: CacheConfig, trace: Trace) -> bool:
+    """Does :func:`vector_simulate_cache` serve ``config`` over ``trace``?
+
+    The batch engine covers the dirty-collapse domain for all three
+    replacement policies.  PC-carrying traces keep the scalar path, as
+    does ``REPRO_CHECK=1`` so the per-access invariant hooks retain
+    coverage.
+    """
+    return _cache_envelope(config, trace) and not _inv.ENABLED
 
 
 def vector_simulate_cache(
@@ -197,18 +186,12 @@ def vector_simulate_cache(
     same statistics, same RNG consumption for random replacement.
 
     Returns:
-        ``(miss_trace, stats)``, or None when the configuration/trace is
-        outside the engine's domain (``force`` only bypasses the
-        ``REPRO_CHECK`` stand-down, for the differ's vector stage).
+        ``(miss_trace, stats)``, or None exactly where
+        :func:`cache_vector_supported` refuses the input (``force`` only
+        bypasses the ``REPRO_CHECK`` stand-down, for the differ's vector
+        stage).
     """
-    if not (
-        config.write_back
-        and config.write_allocate
-        and config.policy in ("random", "lru", "fifo")
-        and not trace.has_pcs
-    ):
-        return None
-    if _inv.ENABLED and not force:
+    if not _cache_envelope(config, trace) or (_inv.ENABLED and not force):
         return None
 
     n = len(trace)
@@ -373,15 +356,13 @@ def vector_replay_streams(
 ) -> Optional[StreamStats]:
     """Flat-state stream-buffer replay, bit-identical to the scalar run.
 
-    Returns None when ``config`` needs the full scalar machinery
-    (``force`` only bypasses the ``REPRO_CHECK`` stand-down).
+    Returns None exactly where :func:`streams_vector_supported` refuses
+    ``config`` (``force`` only bypasses the ``REPRO_CHECK`` stand-down).
 
     Raises:
         ValueError: on block-geometry mismatch, like the scalar run.
     """
-    if not _flat_window_config(config):
-        return None
-    if _inv.ENABLED and not force:
+    if not _flat_window_config(config) or (_inv.ENABLED and not force):
         return None
     if miss_trace.block_bits != config.block_bits:
         raise ValueError(
@@ -603,49 +584,42 @@ def vector_replay_streams(
     )
 
 
-def replay_streams(
-    config: StreamConfig, miss_trace: MissTrace, engine: Optional[str] = None
-) -> StreamStats:
-    """Replay a miss trace through stream buffers with engine dispatch.
+def replay_streams(config: StreamConfig, miss_trace: MissTrace) -> StreamStats:
+    """Replay a miss trace through stream buffers.
 
     The single entry point used by the runner, the parallel sweep workers
-    and the Table 4 search: vector when selected and supported, scalar
+    and the Table 4 search: the flat-window engine where
+    :func:`streams_vector_supported` holds, the scalar
     :class:`StreamPrefetcher` otherwise.
     """
-    if resolve_engine(engine) == ENGINE_VECTOR:
-        stats = vector_replay_streams(config, miss_trace)
-        if stats is not None:
-            return stats
+    stats = vector_replay_streams(config, miss_trace)
+    if stats is not None:
+        return stats
     return StreamPrefetcher(config).run(miss_trace)
 
 
-def replay_secondary(
-    mechanism: "MechanismConfig", miss_trace: MissTrace, engine: Optional[str] = None
-) -> "MechStats":
+def replay_secondary(mechanism: MechanismConfig, miss_trace: MissTrace) -> MechStats:
     """Replay a miss trace through any secondary mechanism.
 
-    The mechanism-generic sibling of :func:`replay_streams` and the single
-    entry point for the runner/sweep/compare layers.  Engine dispatch is
-    best-effort and never errors on unsupported shapes:
+    The mechanism-generic sibling of :func:`replay_streams` and the one
+    way to replay a mechanism config:
 
-    * ``streams`` delegates to :func:`replay_streams` (vector flat-window
-      when selected and supported, scalar otherwise);
-    * ``victim``/``misscache`` always run the scalar mechanism — the
-      flat-window engine cannot represent their buffer state, so the
-      vector engine simply stands down;
-    * ``hybrid`` runs front members scalar via the two-phase residual
-      composition and replays a trailing stream member with full engine
-      dispatch, so ``REPRO_ENGINE=vector`` + a hybrid config is served
-      (vector where possible, scalar elsewhere) rather than rejected.
+    * ``streams`` delegates to :func:`replay_streams`;
+    * ``victim``/``misscache`` run their scalar mechanism — the
+      flat-window engine cannot represent their buffer state;
+    * ``hybrid`` composes two-phase: each front member consumes the trace
+      through ``run_filter`` and the next member replays its residual
+      (unserviced demand misses plus every write-back, in order), so a
+      trailing stream member dispatches like any stream config.  This
+      equals presenting each event to the members in turn (the golden
+      ``RefHybridStack`` does that; the differ's ``hybrid`` stage checks
+      the two agree) because a front member's state never depends on
+      the members behind it.
     """
-    from repro.mechanisms import build_mechanism
-    from repro.mechanisms.hybrid import combine_member_stats
-    from repro.mechanisms.streams import mech_stats_from_streams
-
     if mechanism.kind == "streams":
         assert mechanism.streams is not None
         return mech_stats_from_streams(
-            mechanism, replay_streams(mechanism.streams, miss_trace, engine=engine)
+            mechanism, replay_streams(mechanism.streams, miss_trace)
         )
     if mechanism.kind == "hybrid":
         member_stats = []
@@ -653,7 +627,7 @@ def replay_secondary(
         last = len(mechanism.members) - 1
         for i, member in enumerate(mechanism.members):
             if i == last:
-                member_stats.append(replay_secondary(member, residual, engine=engine))
+                member_stats.append(replay_secondary(member, residual))
             else:
                 stats, residual = build_mechanism(member).run_filter(residual)
                 member_stats.append(stats)
@@ -667,13 +641,13 @@ def replay_secondary(
 
 
 def secondary_vector_supported(config: CacheConfig) -> bool:
-    """Can the batch engine answer :func:`simulate_secondary` queries?"""
-    return (
-        config.write_back
-        and config.write_allocate
-        and config.policy in ("random", "lru", "fifo")
-        and not _inv.ENABLED
-    )
+    """Can :func:`vector_simulate_secondary` answer
+    :func:`simulate_secondary` queries for ``config``?
+
+    The L1 engine's dirty-collapse domain; under ``REPRO_CHECK`` the
+    scalar probe runs.
+    """
+    return _collapse_config(config) and not _inv.ENABLED
 
 
 def vector_simulate_secondary(
@@ -690,17 +664,13 @@ def vector_simulate_secondary(
     residency matters for the L2 counters — dirty state never surfaces in
     a :class:`SecondaryResult` — so the residue loop tracks membership
     and recency only.  RNG draws for random replacement match the scalar
-    cache's order exactly.
+    cache's order exactly.  Returns None exactly where
+    :func:`secondary_vector_supported` refuses ``config`` (``force`` only
+    bypasses the ``REPRO_CHECK`` stand-down).
     """
     if sample_every <= 0:
         raise ValueError(f"sample_every must be positive, got {sample_every}")
-    if not (
-        config.write_back
-        and config.write_allocate
-        and config.policy in ("random", "lru", "fifo")
-    ):
-        return None
-    if _inv.ENABLED and not force:
+    if not _collapse_config(config) or (_inv.ENABLED and not force):
         return None
 
     block_bits = config.block_bits

@@ -212,8 +212,7 @@ def cell_stats(
     cell gets :class:`StreamStats`, the mechanism cell :class:`MechStats`,
     exactly as its own replay would return.
     """
-    from repro.mechanisms.base import MechanismConfig, MechStats
-    from repro.mechanisms.streams import mech_stats_from_streams
+    from repro.mechanisms.base import MechanismConfig, MechStats, mech_stats_from_streams
 
     if isinstance(config, MechanismConfig):
         if config.kind != "streams":

@@ -108,6 +108,28 @@ class TestDetectionPower:
         assert "fa_hit_count" in divergence.what
         assert "repro check --replay analytic:0" in str(divergence)
 
+    def test_detects_two_phase_composition_fault(self, monkeypatch):
+        # A residual that drops the write-backs it must pass to the back
+        # member.  With a per-event online stack and replay_secondary on
+        # both engines beside the two-phase runner, the hybrid stage
+        # caught it on all 50 seeds at this budget; its one runner left
+        # must not catch fewer.
+        from repro.caches.cache import MissEventKind, MissTrace
+        from repro.mechanisms.base import SecondaryMechanism
+
+        real = SecondaryMechanism.run_filter
+
+        def broken(self, miss_trace):
+            stats, residual = real(self, miss_trace)
+            keep = residual.kinds != int(MissEventKind.WRITEBACK)
+            return stats, MissTrace(
+                residual.addrs[keep], residual.kinds[keep], residual.block_bits
+            )
+
+        monkeypatch.setattr(SecondaryMechanism, "run_filter", broken)
+        caught = [seed for seed in range(50) if differ.diff_hybrid(seed, n_events=600)]
+        assert len(caught) == 50
+
 
 class TestDivergenceRendering:
     def test_str_carries_replay_command(self):
@@ -210,8 +232,8 @@ class TestFieldWalk:
 
         real = differ.replay_secondary
 
-        def corrupted(config, miss_trace, engine=None):
-            stats = real(config, miss_trace, engine=engine)
+        def corrupted(config, miss_trace):
+            stats = real(config, miss_trace)
             if config.kind == "hybrid" and stats.streams is not None:
                 streams = stats.streams
                 stats.streams = replace(
@@ -274,9 +296,21 @@ class TestFieldWalk:
         assert with_detector >= 10
 
     def test_hybrid_stage_runs_both_engines(self):
-        labels = [label for label, _ in differ.diff_hybrid.runners]
-        assert "replay_secondary[scalar]" in labels
-        assert "replay_secondary[vector]" in labels
+        # One runner, replay_secondary, whose stream member runs the flat
+        # engine or the scalar prefetcher as the drawn config selects:
+        # the corpus must draw members on both sides.
+        import random
+
+        from repro.sim.vector import streams_vector_supported
+
+        assert [label for label, _ in differ.diff_hybrid.runners] == ["replay_secondary"]
+        flat = []
+        for seed in range(50):
+            rng = random.Random(seed * differ.diff_hybrid.salt % (1 << 31))
+            last = differ.random_hybrid_config(rng).members[-1]
+            if last.kind == "streams":
+                flat.append(streams_vector_supported(last.streams))
+        assert 5 <= sum(flat) < len(flat) - 5
 
 
 class TestReplay:
@@ -307,21 +341,48 @@ class TestReplay:
 
     def test_replay_line_names_non_default_settings(self, monkeypatch):
         from repro.check import invariants
+        from repro.cli import build_parser
 
-        def replay_words():
+        def replay_words(**kwargs):
             divergence = differ.Divergence(
-                stage="streams", seed=7, what="w", optimized="1", expected="2"
+                stage="streams", seed=7, what="w", optimized="1", expected="2", **kwargs
             )
             return str(divergence).splitlines()[-1].split()[1:]
 
         monkeypatch.setattr(invariants, "ENABLED", False)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert replay_words() == ["repro", "check", "--replay", "streams:7"]
-        monkeypatch.setenv("REPRO_ENGINE", "vector")  # the default
-        assert replay_words()[0] == "repro"
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
+        command = ["repro", "check", "--replay", "streams:7"]
+        assert replay_words() == command
+        # The line omits exactly the budget `repro check` defaults to.
+        assert build_parser().parse_args(["check"]).events == differ.DEFAULT_EVENTS
+        assert replay_words(n_events=differ.DEFAULT_EVENTS) == command
+        # A row called directly builds its own budget (diff_l1: 3,000).
+        assert replay_words(n_events=3000) == command + ["--events", "3000"]
         monkeypatch.setattr(invariants, "ENABLED", True)
-        assert replay_words()[:3] == ["REPRO_CHECK=1", "REPRO_ENGINE=scalar", "repro"]
+        assert replay_words() == ["REPRO_CHECK=1"] + command
+
+    def test_replay_line_rebuilds_a_non_default_budget(self, monkeypatch, capsys):
+        # The vector stage draws its stream and L2 configs after its L1
+        # trace, so a case built at another budget has other configs.
+        from dataclasses import replace
+
+        from repro.cli import main
+
+        real = differ.vector_replay_streams
+
+        def skewed(config, miss_trace, force=False):
+            stats = real(config, miss_trace, force=force)
+            return replace(stats, stream_hits=stats.stream_hits + 1)
+
+        monkeypatch.setattr(differ, "vector_replay_streams", skewed)
+        divergence = differ.diff_vector(1, n_events=4000)
+        assert divergence is not None and divergence.n_events == 4000
+        replay_line = str(divergence).splitlines()[-1]
+        command = replay_line.split("repro ", 1)[1].split()
+        assert command == ["check", "--replay", "vector:1", "--events", "4000"]
+        assert differ.replay("vector:1", n_events=4000).context == divergence.context
+        assert differ.replay("vector:1").context != divergence.context
+        assert main(command) == 1
+        assert str(divergence) in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "key", ["streams", "streams:x", "nosuch:3", "registry:nosuch@0.05:0", "registry:cgm:0"]

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.config import StreamConfig
 from repro.sim.compare import min_matching_l2_size
-from repro.sim.runner import MissTraceCache, run_result, run_streams
+from repro.sim.runner import MissTraceCache, run_result
 from repro.sim.sweep import sweep_czone_bits, sweep_n_streams
 
 
@@ -19,24 +19,25 @@ def cache():
 
 class TestMicrobenchShapes:
     def test_unit_sweep_is_near_perfect(self, cache):
-        stats = run_streams("sweep", StreamConfig.jouppi(n_streams=2), scale=0.25, cache=cache)
+        config = StreamConfig.jouppi(n_streams=2)
+        stats = run_result("sweep", config, scale=0.25, cache=cache).streams
         assert stats.hit_rate > 0.99
 
     def test_random_is_near_zero(self, cache):
-        stats = run_streams("random", StreamConfig.jouppi(n_streams=10), cache=cache)
+        stats = run_result("random", StreamConfig.jouppi(n_streams=10), cache=cache).streams
         assert stats.hit_rate < 0.02
 
     def test_strided_needs_detection(self, cache):
-        unit = run_streams("stride", StreamConfig.filtered(), scale=0.25, cache=cache)
-        detected = run_streams(
+        unit = run_result("stride", StreamConfig.filtered(), scale=0.25, cache=cache).streams
+        detected = run_result(
             "stride", StreamConfig.non_unit(czone_bits=14), scale=0.25, cache=cache
-        )
+        ).streams
         assert unit.hit_rate < 0.02
         assert detected.hit_rate > 0.95
 
     def test_filter_eliminates_random_waste(self, cache):
-        plain = run_streams("random", StreamConfig.jouppi(), cache=cache)
-        filtered = run_streams("random", StreamConfig.filtered(), cache=cache)
+        plain = run_result("random", StreamConfig.jouppi(), cache=cache).streams
+        filtered = run_result("random", StreamConfig.filtered(), cache=cache).streams
         assert plain.bandwidth.eb_measured > 100  # ~2 wasted per miss
         assert filtered.bandwidth.eb_measured < 5
 
@@ -53,13 +54,13 @@ class TestPaperBandSpotChecks:
         assert 40 <= result.hit_rate_percent <= 60  # paper ~50
 
     def test_trfd_gains_from_stride_detection(self, cache):
-        unit = run_streams("trfd", StreamConfig.filtered(), cache=cache)
-        stride = run_streams("trfd", StreamConfig.non_unit(czone_bits=19), cache=cache)
+        unit = run_result("trfd", StreamConfig.filtered(), cache=cache).streams
+        stride = run_result("trfd", StreamConfig.non_unit(czone_bits=19), cache=cache).streams
         assert stride.hit_rate_percent - unit.hit_rate_percent > 8
 
     def test_trfd_filter_slashes_eb(self, cache):
-        plain = run_streams("trfd", StreamConfig.jouppi(), cache=cache)
-        filtered = run_streams("trfd", StreamConfig.filtered(), cache=cache)
+        plain = run_result("trfd", StreamConfig.jouppi(), cache=cache).streams
+        filtered = run_result("trfd", StreamConfig.filtered(), cache=cache).streams
         assert plain.bandwidth.eb_measured > 60
         assert filtered.bandwidth.eb_measured < 15
         # ... at almost no hit-rate cost (paper Section 6.1).

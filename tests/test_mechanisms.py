@@ -2,11 +2,11 @@
 
 Covers the config surface (validation, spec parsing, dict round-trips),
 the victim/miss-cache/hybrid semantics pinned by docs/mechanisms.md,
-the engine/runner/store/wire plumbing that threads mechanism identity
+the replay/runner/store/wire plumbing that threads mechanism identity
 through the stack, the shared protocol edge cases (empty, single-miss
 and all-writeback traces — also exercised through every
-``baselines/base.py`` prefetch baseline), and the vector-engine
-fallback regression for hybrid configs.
+``baselines/base.py`` prefetch baseline), and the engine dispatch of
+``replay_secondary`` for every mechanism kind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.check.differ import (
 )
 from repro.core.config import StreamConfig
 from repro.mechanisms import (
-    HybridStack,
     MechanismConfig,
     MechStats,
     MissCache,
@@ -37,6 +36,7 @@ from repro.mechanisms import (
     mechanism_from_dict,
     mechanism_label,
     mechanism_to_dict,
+    mech_stats_from_streams,
     parse_mechanism_spec,
 )
 from repro.sim.vector import replay_secondary
@@ -178,42 +178,42 @@ class TestHybridStack:
         config = MechanismConfig.hybrid(
             MechanismConfig.misscache(4), MechanismConfig.misscache(4)
         )
-        mech = HybridStack(config)
-        mech.handle_miss(0)
-        assert mech.handle_miss(0) is True  # front member hit
-        stats = mech.finalize()
-        assert stats.member_hits == (1, 0)  # back member never saw it
+        stats = replay_secondary(config, _trace([(0, READ), (0, READ)]))
+        assert stats.member_hits == (1, 0)  # back member never saw the hit
         assert stats.hits == 1
 
     def test_writebacks_reach_every_member(self):
         config = MechanismConfig.hybrid(
             MechanismConfig.misscache(4), MechanismConfig.misscache(4)
         )
-        mech = HybridStack(config)
-        mech.handle_miss(0)
-        mech.handle_writeback(0)
-        stats = mech.finalize()
+        stats = replay_secondary(config, _trace([(0, READ), (0, WB)]))
         assert stats.writebacks == 1
         # The miss propagated through both members, so both installed
         # the block and both invalidate it on the writeback.
         assert stats.invalidations == 2
 
     def test_two_phase_residual_matches_online(self):
+        # replay_secondary's residual composition against the golden
+        # online stack (RefHybridStack), every result field compared.
         rng = random.Random(7)
-        for _ in range(5):
+        for seed in range(5):
             config = random_hybrid_config(rng)
             trace = random_miss_trace(rng, 1200, block_bits=config.block_bits)
-            online = HybridStack(config).run(trace)
-            residual = replay_secondary(config, trace, engine="scalar")
-            assert online == residual
+            case = {"config": config, "miss_trace": trace}
+            assert diff_hybrid.diff(case, seed, "hybrid") is None
 
     def test_stream_member_embeds_full_stats(self):
         config = parse_mechanism_spec("victim:4+streams")
         trace = random_miss_trace(random.Random(3), 800)
-        stats = build_mechanism(config).run(trace)
+        stats = replay_secondary(config, trace)
         assert stats.streams is not None
         assert stats.streams.stream_hits == stats.member_hits[1]
         assert stats.prefetches_issued == stats.streams.prefetches_issued
+
+    @pytest.mark.parametrize("spec", ("streams", "victim:4+streams"))
+    def test_no_per_event_object_outside_buffers(self, spec):
+        with pytest.raises(ValueError, match="replay_secondary"):
+            build_mechanism(parse_mechanism_spec(spec))
 
 
 ZOO_SPECS = ("streams", "victim:4", "misscache:4", "victim:4+streams",
@@ -221,12 +221,13 @@ ZOO_SPECS = ("streams", "victim:4", "misscache:4", "victim:4+streams",
 
 
 class TestProtocolEdgeCases:
-    """Satellite: empty / single-miss / all-writeback traces through
-    every mechanism — 0.0 rates, no division by zero."""
+    """Empty / single-miss / all-writeback traces through every
+    mechanism, replayed as production replays them — 0.0 rates, no
+    division by zero."""
 
     @pytest.mark.parametrize("spec", ZOO_SPECS)
     def test_empty_trace(self, spec):
-        stats = build_mechanism(parse_mechanism_spec(spec)).run(_trace([]))
+        stats = replay_secondary(parse_mechanism_spec(spec), _trace([]))
         assert stats.demand_misses == 0
         assert stats.hit_rate == 0.0
         assert stats.hit_rate_percent == 0.0
@@ -235,9 +236,7 @@ class TestProtocolEdgeCases:
 
     @pytest.mark.parametrize("spec", ZOO_SPECS)
     def test_single_miss_trace(self, spec):
-        stats = build_mechanism(parse_mechanism_spec(spec)).run(
-            _trace([(0x40, READ)])
-        )
+        stats = replay_secondary(parse_mechanism_spec(spec), _trace([(0x40, READ)]))
         assert stats.demand_misses == 1
         assert stats.hits == 0
         assert stats.hit_rate == 0.0
@@ -246,7 +245,7 @@ class TestProtocolEdgeCases:
     @pytest.mark.parametrize("spec", ZOO_SPECS)
     def test_all_writeback_trace(self, spec):
         trace = _trace([(i << 6, WB) for i in range(8)])
-        stats = build_mechanism(parse_mechanism_spec(spec)).run(trace)
+        stats = replay_secondary(parse_mechanism_spec(spec), trace)
         assert stats.demand_misses == 0
         assert stats.writebacks == 8
         assert stats.hit_rate == 0.0
@@ -276,68 +275,68 @@ class TestProtocolEdgeCases:
 
 
 class TestEngineDispatch:
-    """Satellite: the engine dispatcher falls back cleanly for
-    mechanism shapes the vector flat-window engine cannot represent."""
-
-    def test_vector_env_hybrid_bit_identical(self, monkeypatch):
-        from repro.sim.vector import ENGINE_ENV_VAR
-
-        config = parse_mechanism_spec("victim:4+streams")
-        trace = random_miss_trace(random.Random(11), 1500)
-        scalar = replay_secondary(config, trace, engine="scalar")
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
-        vector_env = replay_secondary(config, trace)
-        assert scalar == vector_env
+    """``replay_secondary`` serves every mechanism shape, running the
+    batch engine for stream members its support predicate accepts and
+    the scalar code for everything else."""
 
     @pytest.mark.parametrize("spec", ("victim:4", "misscache:4"))
-    def test_vector_engine_never_errors_on_buffers(self, spec, monkeypatch):
-        from repro.sim.vector import ENGINE_ENV_VAR
-
-        monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
+    def test_vector_engine_never_errors_on_buffers(self, spec):
         config = parse_mechanism_spec(spec)
         trace = random_miss_trace(random.Random(5), 600)
         stats = replay_secondary(config, trace)
         assert stats.demand_misses == int(trace.n_misses)
 
     def test_explicit_vector_matches_scalar_for_streams_kind(self):
-        config = MechanismConfig.for_streams(StreamConfig.filtered())
+        from repro.core.prefetcher import StreamPrefetcher
+        from repro.sim.vector import vector_replay_streams
+
+        stream_config = StreamConfig.filtered()
+        config = MechanismConfig.for_streams(stream_config)
         trace = random_miss_trace(random.Random(4), 1500)
-        assert replay_secondary(config, trace, engine="vector") == replay_secondary(
-            config, trace, engine="scalar"
-        )
+        scalar = StreamPrefetcher(stream_config).run(trace)
+        assert vector_replay_streams(stream_config, trace) == scalar
+        assert replay_secondary(config, trace) == mech_stats_from_streams(config, scalar)
 
 
 class TestRunnerAndSweep:
-    def test_run_streams_is_a_run_secondary_wrapper(self):
-        from repro.sim.runner import MissTraceCache, run_secondary, run_streams
+    def test_run_result_serves_both_config_kinds(self):
+        from repro.core.prefetcher import StreamStats
+        from repro.sim.runner import MissTraceCache, run_result
 
         cache = MissTraceCache()
         config = StreamConfig.non_unit()
-        streams = run_streams("stride", config, scale=0.05, cache=cache)
-        mech = run_secondary(
+        streams = run_result("stride", config, scale=0.05, cache=cache)
+        mech = run_result(
             "stride", MechanismConfig.for_streams(config), scale=0.05, cache=cache
         )
-        assert mech.streams == streams
-        assert mech.hits == streams.stream_hits
+        assert isinstance(streams.streams, StreamStats)
+        assert isinstance(mech.streams, MechStats)
+        assert mech.l1 == streams.l1
+        assert mech.streams.streams == streams.streams
+        assert mech.hit_rate_percent == streams.hit_rate_percent
 
     def test_sweep_mechanisms_serial_matches_parallel(self, tmp_path):
+        from repro.core.prefetcher import StreamStats
         from repro.sim.runner import MissTraceCache
-        from repro.sim.sweep import sweep_mechanisms
+        from repro.sim.sweep import compare_configs
         from repro.trace.store import TraceStore
 
         zoo = {
             spec: parse_mechanism_spec(spec)
             for spec in ("streams", "victim:4", "misscache:4+streams")
         }
+        zoo["filtered"] = StreamConfig.filtered()
         store = TraceStore(tmp_path / "store")
-        serial = sweep_mechanisms(
+        serial = compare_configs(
             "stride", zoo, scale=0.05, cache=MissTraceCache(store=store)
         )
-        parallel = sweep_mechanisms(
+        parallel = compare_configs(
             "stride", zoo, scale=0.05, jobs=2,
             cache=MissTraceCache(store=store), store=store,
         )
         assert serial == parallel
+        assert isinstance(serial["victim:4"], MechStats)
+        assert isinstance(serial["filtered"], StreamStats)
 
     def test_match_result_records_mechanism(self):
         from repro.sim.compare import min_matching_l2_size
@@ -385,7 +384,6 @@ class TestStore:
         """A streams-kind mechanism and its bare StreamConfig share one
         digest and one stored payload, so warm stores serve both, and
         each cell still reports its own stats type."""
-        from repro.mechanisms.streams import mech_stats_from_streams
         from repro.sim.vector import replay_streams
         from repro.trace.store import TraceStore, cell_stats, result_digest
 
@@ -428,7 +426,7 @@ class TestWire:
         for spec in ZOO_SPECS:
             config = parse_mechanism_spec(spec)
             trace = random_miss_trace(random.Random(8), 600)
-            stats = build_mechanism(config).run(trace)
+            stats = replay_secondary(config, trace)
             payload = json.loads(json.dumps(mech_stats_to_dict(stats)))
             assert mech_stats_from_dict(payload) == stats
 
@@ -466,8 +464,7 @@ class TestWire:
 
     def test_chunk_and_result_round_trip(self):
         from repro.service import api
-        from repro.sim.results import RunResult
-        from repro.sim.runner import MissTraceCache, run_secondary
+        from repro.sim.runner import run_result
 
         config = parse_mechanism_spec("misscache:4+streams")
         chunk = api.parse_chunk_request(
@@ -481,12 +478,7 @@ class TestWire:
         cell = chunk.cells[0]
         assert cell.config == config
 
-        cache = MissTraceCache()
-        stats = run_secondary("stride", config, scale=0.05, cache=cache)
-        _, summary = cache.get("stride", scale=0.05)
-        result = RunResult(
-            workload="stride", scale=0.05, seed=0, l1=summary, streams=stats
-        )
+        result = run_result("stride", config, scale=0.05)
         payload = json.loads(json.dumps(api.encode_cell_result(cell, result)))
         assert "mech" in payload and "stats" not in payload
         assert api.decode_cell_result(payload) == result

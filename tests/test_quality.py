@@ -116,8 +116,8 @@ class TestGoldenNumbers:
     @pytest.mark.parametrize("name", sorted(PINS))
     def test_pinned_hit_rate(self, name):
         from repro.core import StreamConfig
-        from repro.sim import run_streams
+        from repro.sim import run_result
 
         expected, tolerance = self.PINS[name]
-        stats = run_streams(name, StreamConfig.jouppi(n_streams=10))
+        stats = run_result(name, StreamConfig.jouppi(n_streams=10)).streams
         assert stats.hit_rate_percent == pytest.approx(expected, abs=tolerance)

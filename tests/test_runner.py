@@ -5,7 +5,7 @@ import pytest
 from repro.caches.cache import CacheConfig
 from repro.core.config import StreamConfig
 from repro.sim.results import L1Summary
-from repro.sim.runner import MissTraceCache, run_result, run_streams, simulate_l1
+from repro.sim.runner import MissTraceCache, run_result, simulate_l1
 from repro.trace.events import Trace
 from repro.workloads import get_workload
 from repro.workloads.instructions import with_instructions
@@ -66,7 +66,9 @@ class TestMissTraceCache:
 class TestRunHelpers:
     def test_run_streams_on_sweep(self):
         cache = MissTraceCache()
-        stats = run_streams("sweep", StreamConfig.jouppi(n_streams=2), scale=0.25, cache=cache)
+        stats = run_result(
+            "sweep", StreamConfig.jouppi(n_streams=2), scale=0.25, cache=cache
+        ).streams
         assert stats.hit_rate > 0.99
 
     def test_run_result_bundles_l1(self):

@@ -1,60 +1,73 @@
-"""Tests for repro.analysis.stack (Mattson stack distances)."""
+"""Mattson stack-distance cases on the analytic profiler
+(:func:`repro.analytic.profile.profile_miss_trace`), which yields the
+fully-associative LRU hit count of every capacity from one pass."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.stack import profile_block_stream, stack_distances
+from repro.analytic.model import fa_hit_rate
+from repro.analytic.profile import profile_miss_trace
 from repro.caches.cache import Cache, CacheConfig, MissTrace
 from repro.trace.events import Trace
 
 
+def _profile(blocks, kinds=None):
+    """The 64-byte-block profile of a miss trace touching ``blocks``
+    (demand reads unless ``kinds`` says otherwise)."""
+    addrs = np.asarray(blocks, dtype=np.int64) * 64
+    if kinds is None:
+        kinds = np.zeros(len(addrs), dtype=np.uint8)
+    trace = MissTrace(addrs, np.asarray(kinds, dtype=np.uint8), 6)
+    return profile_miss_trace(trace, (64,))[64]
+
+
 class TestStackDistances:
     def test_cold_accesses_are_infinite(self):
-        profile = stack_distances([1, 2, 3])
-        assert profile.cold_accesses == 3
-        assert profile.length == 3
+        profile = _profile([1, 2, 3])
+        assert profile.cold_reads == 3
+        assert profile.demand_accesses == 3
+        assert profile.demand_hist.sum() == 0
 
     def test_immediate_reuse_distance_zero(self):
-        profile = stack_distances([7, 7])
-        assert profile.histogram[0] == 1
+        profile = _profile([7, 7])
+        assert profile.demand_hist[0] == 1
 
     def test_intervening_blocks_counted_once(self):
         # a b b a: between the two a's, only one distinct block (b).
-        profile = stack_distances([1, 2, 2, 1])
-        assert profile.histogram[1] == 1  # the second a
-        assert profile.histogram[0] == 1  # the second b
+        profile = _profile([1, 2, 2, 1])
+        assert profile.demand_hist[1] == 1  # the second a
+        assert profile.demand_hist[0] == 1  # the second b
 
     def test_cyclic_sweep_distance(self):
         # Sweeping k distinct blocks repeatedly: every reuse has
         # distance k-1.
         k = 8
-        profile = stack_distances(list(range(k)) * 3)
-        assert profile.histogram[k - 1] == 2 * k
-        assert profile.cold_accesses == k
+        profile = _profile(list(range(k)) * 3)
+        assert profile.demand_hist[k - 1] == 2 * k
+        assert profile.cold_reads == k
 
     def test_empty(self):
-        profile = stack_distances([])
-        assert profile.length == 0
-        assert profile.miss_curve([4]) == {4: 0.0}
+        profile = _profile([])
+        assert profile.demand_accesses == 0
+        assert fa_hit_rate(profile, 4 * 64) == 0.0
 
 
 class TestMissCurve:
     def test_lru_inclusion_monotone(self):
         rng = np.random.default_rng(0)
-        profile = stack_distances(rng.integers(0, 64, size=2000).tolist())
+        profile = _profile(rng.integers(0, 64, size=2000))
         sizes = [1, 2, 4, 8, 16, 32, 64, 128]
-        curve = profile.miss_curve(sizes)
-        values = [curve[s] for s in sizes]
-        assert values == sorted(values, reverse=True)
+        misses = [profile.demand_accesses - profile.hits_within(s) for s in sizes]
+        assert misses == sorted(misses, reverse=True)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            stack_distances([1]).misses_at(0)
+            _profile([1]).hits_within(0)
 
     def test_reuse_fraction(self):
-        profile = stack_distances(list(range(8)) * 2)
-        assert profile.reuse_fraction_within(8) == pytest.approx(0.5)
-        assert profile.reuse_fraction_within(4) == pytest.approx(0.0)
+        profile = _profile(list(range(8)) * 2)
+        assert fa_hit_rate(profile, 8 * 64) == pytest.approx(0.5)
+        assert fa_hit_rate(profile, 4 * 64) == pytest.approx(0.0)
 
     def test_matches_fully_associative_lru_simulation_exactly(self):
         """Mattson's theorem, checked against the simulator."""
@@ -66,8 +79,8 @@ class TestMissCurve:
                 rng.integers(0, 128, size=1500),
                 np.arange(64),
             ]
-        ).tolist()
-        profile = stack_distances(blocks)
+        )
+        profile = _profile(blocks)
         for capacity_blocks in (4, 16, 64, 256):
             cache = Cache(
                 CacheConfig(
@@ -77,50 +90,30 @@ class TestMissCurve:
                     policy="lru",
                 )
             )
-            trace = Trace.uniform(np.asarray(blocks, dtype=np.int64) * 64)
-            cache.simulate(trace)
-            assert cache.stats.misses == profile.misses_at(capacity_blocks), capacity_blocks
+            cache.simulate(Trace.uniform(blocks.astype(np.int64) * 64))
+            misses = profile.demand_accesses - profile.hits_within(capacity_blocks)
+            assert cache.stats.misses == misses, capacity_blocks
 
 
 class TestProfileBlockStream:
     def test_profiles_demand_misses_only(self):
-        mt = MissTrace(
-            np.array([0, 64, 0], dtype=np.int64),
-            np.array([0, 2, 0], dtype=np.uint8),  # middle one is a write-back
-            6,
-        )
-        profile = profile_block_stream(mt)
-        assert profile.length == 2
-        assert profile.histogram[0] == 1  # block 0 reused immediately
+        # The middle event is a write-back: it is not a demand access.
+        profile = _profile([0, 1, 0], kinds=[0, 2, 0])
+        assert profile.demand_accesses == 2
+        assert profile.writebacks == 1
 
     def test_writebacks_update_recency_but_are_not_counted(self):
-        mt = MissTrace(
-            np.array([0, 64, 0], dtype=np.int64),
-            np.array([0, 2, 0], dtype=np.uint8),
-            6,
-        )
-        profile = profile_block_stream(mt, demand_only=False)
-        # Two demand accesses counted; the write-back to block 1 still
-        # sat between the two touches of block 0, giving distance 1.
-        assert profile.length == 2
-        assert profile.histogram[1] == 1
+        profile = _profile([0, 1, 0], kinds=[0, 2, 0])
+        # The write-back to block 1 sat between the two touches of
+        # block 0, giving distance 1.
+        assert profile.demand_hist[1] == 1
 
     def test_writeback_installs_enable_hits(self):
-        # demand 5, wb 9, demand 9: with installs modelled, the second
-        # demand is a short-distance reuse; demand-only calls it cold.
-        mt = MissTrace(
-            np.array([5 * 64, 9 * 64, 9 * 64], dtype=np.int64),
-            np.array([0, 2, 0], dtype=np.uint8),
-            6,
-        )
-        with_installs = profile_block_stream(mt, demand_only=False)
-        demand_only = profile_block_stream(mt, demand_only=True)
-        assert with_installs.histogram.get(0) == 1  # immediate reuse of the install
-        assert demand_only.cold_accesses == 2
-
-    def test_count_mask_validation(self):
-        with pytest.raises(ValueError):
-            stack_distances([1, 2], count=[True])
+        # demand 5, wb 9, demand 9: the write-back installs block 9, so
+        # the second demand is an immediate reuse, not a cold miss.
+        profile = _profile([5, 9, 9], kinds=[0, 2, 0])
+        assert profile.demand_hist[0] == 1
+        assert profile.cold_reads == 1
 
     def test_real_workload_l2_story(self):
         """The miss stream of a one-pass sweep has no reuse any L2 can
@@ -128,11 +121,10 @@ class TestProfileBlockStream:
         from repro.sim.runner import MissTraceCache
 
         cache = MissTraceCache()
+        capacity = (1 << 14) * 64
         sweep_mt, _ = cache.get("sweep", scale=0.25)
-        sweep_profile = profile_block_stream(sweep_mt)
-        assert sweep_profile.reuse_fraction_within(1 << 14) < 0.01
+        assert fa_hit_rate(profile_miss_trace(sweep_mt, (64,))[64], capacity) < 0.01
 
         mdg_mt, _ = cache.get("mdg")
-        mdg_profile = profile_block_stream(mdg_mt)
         # mdg revisits its arrays every step: a large L2 catches reuse.
-        assert mdg_profile.reuse_fraction_within(1 << 14) > 0.3
+        assert fa_hit_rate(profile_miss_trace(mdg_mt, (64,))[64], capacity) > 0.3

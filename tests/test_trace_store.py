@@ -556,7 +556,7 @@ class TestResultDictsPinned:
             MechanismConfig.victim(entries=4),
             MechanismConfig.for_streams(StreamConfig.filtered(n_streams=2)),
         )
-        stats = replay_secondary(config, _pinned_miss_trace(), engine="scalar")
+        stats = replay_secondary(config, _pinned_miss_trace())
         assert json.dumps(mech_stats_to_dict(stats)) == _PINNED_HYBRID_JSON
         assert mech_stats_from_dict(json.loads(_PINNED_HYBRID_JSON)) == stats
 

@@ -1,8 +1,8 @@
 """Vectorized batch replay engine (repro.sim.vector) tests.
 
-Engine dispatch, support-envelope gating, batch-boundary edge cases
-(empty/single-event traces, runs crossing set boundaries), bit-identity
-against the scalar engines, and the cached trace kind flags.
+Support predicates against what each engine serves, batch-boundary edge
+cases (empty/single-event traces, runs crossing set boundaries),
+bit-identity against the scalar engines, and the cached trace kind flags.
 """
 
 import random
@@ -60,25 +60,54 @@ def _assert_l1_identical(config, trace):
     assert vec_stats == scalar.stats
 
 
-class TestEngineResolution:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(vector.ENGINE_ENV_VAR, raising=False)
-        assert vector.resolve_engine() == vector.ENGINE_VECTOR
+class TestSupportPredicates:
+    """Each batch engine serves exactly the inputs its dispatcher's
+    support predicate accepts, and returns None everywhere else."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, vector.ENGINE_SCALAR)
-        assert vector.resolve_engine() == vector.ENGINE_SCALAR
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize(
+        "overrides,pcs",
+        [
+            (dict(policy="lru"), False),
+            (dict(policy="fifo"), False),
+            (dict(policy="random"), False),
+            (dict(write_back=False), False),
+            (dict(write_allocate=False), False),
+            (dict(), True),
+        ],
+        ids=["lru", "fifo", "random", "write-through", "no-write-allocate", "pc-trace"],
+    )
+    def test_cache_engines(self, monkeypatch, overrides, pcs, armed):
+        monkeypatch.setattr(_inv, "ENABLED", armed)
+        config = _wb_config(**overrides)
+        addrs = np.asarray([0, 32, 4096], dtype=np.int64)
+        trace = Trace(addrs, np.zeros(3, dtype=np.uint8), pcs=addrs + 4 if pcs else None)
+        l1 = vector.vector_simulate_cache(config, trace)
+        assert vector.cache_vector_supported(config, trace) == (l1 is not None)
+        l2 = vector.vector_simulate_secondary(_miss_trace([0, 64, 4096]), config)
+        assert vector.secondary_vector_supported(config) == (l2 is not None)
+        # Outside REPRO_CHECK the predicates mark the engines' envelope.
+        in_envelope = config.write_back and config.write_allocate
+        assert (l2 is not None) == (in_envelope and not armed)
+        assert (l1 is not None) == (in_envelope and not pcs and not armed)
 
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, vector.ENGINE_SCALAR)
-        assert vector.resolve_engine(vector.ENGINE_VECTOR) == vector.ENGINE_VECTOR
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown engine"):
-            vector.resolve_engine("turbo")
-        monkeypatch.setenv(vector.ENGINE_ENV_VAR, "warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            vector.resolve_engine()
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(stride_detector=StrideDetector.CZONE),
+            dict(stride_detector=StrideDetector.MIN_DELTA),
+            dict(partitioned=True, i_streams=2),
+            dict(lookup_depth=2),
+            dict(min_lead=1),
+        ],
+    )
+    def test_stream_engine(self, monkeypatch, overrides, armed):
+        monkeypatch.setattr(_inv, "ENABLED", armed)
+        config = replace(StreamConfig.filtered(n_streams=4), **overrides)
+        stats = vector.vector_replay_streams(config, _miss_trace([0, 64, 128]))
+        assert vector.streams_vector_supported(config) == (stats is not None)
 
 
 class TestL1Gating:
@@ -360,17 +389,30 @@ class TestStridedStreams:
                 _replay_both(config, trace)
 
     def test_hybrid_stream_member_on_vector_engine(self):
-        from repro.mechanisms import parse_mechanism_spec
+        from repro.mechanisms import (
+            build_mechanism,
+            combine_member_stats,
+            mech_stats_from_streams,
+            parse_mechanism_spec,
+        )
 
         mechanism = parse_mechanism_spec("misscache:4+streams")
         assert mechanism.members[-1].streams.stride_detector == StrideDetector.CZONE
+        assert vector.streams_vector_supported(mechanism.members[-1].streams)
         for seed in range(3):
             mt = differ.random_miss_trace(random.Random(seed), 1500)
-            vec = vector.replay_secondary(mechanism, mt, engine="vector")
-            assert vec == vector.replay_secondary(mechanism, mt, engine="scalar")
+            front = build_mechanism(mechanism.members[0])
+            front_stats, residual = front.run_filter(mt)
+            stream_member = mechanism.members[-1]
+            scalar = combine_member_stats(mechanism, [
+                front_stats,
+                mech_stats_from_streams(
+                    stream_member, StreamPrefetcher(stream_member.streams).run(residual)
+                ),
+            ])
+            assert vector.replay_secondary(mechanism, mt) == scalar
 
     def test_czone_replay_builds_no_scalar_prefetcher(self, monkeypatch):
-        monkeypatch.delenv(vector.ENGINE_ENV_VAR, raising=False)
         built = []
 
         class Spy(StreamPrefetcher):
