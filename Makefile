@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test bench paper-bench bench-quick obs-smoke obs-bench profile-bench analytic-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
+.PHONY: install test bench paper-bench bench-quick obs-smoke obs-bench analytic-bench vector-smoke zoo-smoke zoo-bench check-diff check-diff-long exhibits examples serve smoke-service fleet-smoke fleet-bench clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -41,16 +41,8 @@ obs-smoke:
 obs-bench:
 	PYTHONPATH=src python benchmarks/bench_obs.py
 
-# Analytic Table-4 screen gate: the stack-distance search must agree
-# with brute force on every cell while simulating <=25% of the config
-# grid; timings land in BENCH_PR4.json (docs/analytic.md).
-profile-bench:
-	PYTHONPATH=src python benchmarks/bench_profile.py
-
-# PR 8 analytic gate: the combined-locality screen must beat the PR 4
-# simulated-config baseline strictly, and every closed-form stream
-# sweep's witness replay must land inside its declared error bound;
-# results in BENCH_PR8.json (docs/analytic.md).
+# Closed-form stream sweeps: every witness replay must land inside its
+# prediction's declared error bound (docs/analytic.md).
 analytic-bench:
 	PYTHONPATH=src python benchmarks/bench_analytic.py
 
@@ -67,9 +59,9 @@ zoo-smoke:
 	PYTHONPATH=src python -m repro check --seeds 50 --no-registry \
 		--stages victim,misscache,hybrid
 
-# PR 9 mechanism-zoo gate: the mechzoo exhibit (min matching L2 per
+# Mechanism-zoo gate: the mechzoo exhibit (min matching L2 per
 # secondary mechanism) over a reduced slice, cold vs warm store, every
-# match witnessed by a probed simulation; results in BENCH_PR9.json.
+# match witnessed by its exact ladder point.
 zoo-bench:
 	PYTHONPATH=src python benchmarks/bench_mechzoo.py
 

@@ -9,24 +9,17 @@ see docs/mechanisms.md) over a reduced workload slice, cold versus warm:
    cheaper from the stored traces and mechanism results.
 
 Gates: the warm pass is strictly faster than the cold pass, every
-reported match is witnessed by a real probed simulation point, and the
-hybrid columns never match a *larger* L2 than plain streams on the same
-cell (a front buffer can only remove misses ahead of the stream
-prefetcher).  The PR 8 analytic-screen warm timing rides along as the
-reference baseline.  Results land in ``BENCH_PR9.json``; run via
-``make zoo-bench``.
+reported match is witnessed by the ladder point of its size reaching
+the target, and the hybrid columns never match a *larger* L2 than plain
+streams on the same cell (a front buffer can only remove misses ahead
+of the stream prefetcher).  Run via ``make zoo-bench``.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
 import tempfile
 import time
-from pathlib import Path
-
-import numpy as np
 
 from repro.reporting.experiments import default_zoo, mechzoo, render_mechzoo
 from repro.sim.runner import MissTraceCache
@@ -35,20 +28,6 @@ from repro.trace.store import TraceStore
 #: Reduced slice: one clearly streamable workload, one cache-friendly
 #: one, and one paper benchmark at its small Table 4 scale.
 CELLS = (("stride", 0.05), ("random", 0.25), ("cgm", 0.25))
-
-ROOT = Path(__file__).resolve().parent.parent
-BASELINE = ROOT / "BENCH_PR8.json"
-OUTPUT = ROOT / "BENCH_PR9.json"
-
-def baseline_seconds() -> float:
-    """PR 8's warm analytic-screen wall time (reference, not a gate —
-    the zoo runs 5 mechanisms per cell, the screen ran one)."""
-    try:
-        payload = json.loads(BASELINE.read_text())
-        return float(payload["screen"]["seconds"]["analytic_warm"])
-    except (OSError, KeyError, ValueError):
-        return 0.0
-
 
 def _size_rank(row) -> int:
     """Matched size in bytes; an unmatched cell ranks above every size."""
@@ -85,11 +64,13 @@ def main() -> int:
     for row in warm_rows:
         match = row.match
         if match.matched_size is not None and not any(
-            point.size == match.matched_size for point in match.l2_hit_rates
+            point.size == match.matched_size
+            and point.hit_rate >= match.stream_stats.hit_rate
+            for point in match.l2_hit_rates
         ):
             failures.append(
                 f"{row.name}@{row.scale:g} {row.mechanism}: match not witnessed"
-                " by a probed simulation point"
+                " by its ladder point"
             )
 
     by_cell = {(r.name, r.scale, r.mechanism): r for r in warm_rows}
@@ -106,39 +87,6 @@ def main() -> int:
                     f"{name}@{scale:g}: {label} matched {hybrid.min_l2} but"
                     f" plain streams matched {streams.min_l2}"
                 )
-
-    payload = {
-        "pr": 9,
-        "benchmark": (
-            "bench_mechzoo: mechzoo exhibit (min matching L2 per secondary"
-            " mechanism) cold vs warm over a reduced slice"
-        ),
-        "cells": [
-            {
-                "workload": row.name,
-                "scale": row.scale,
-                "mechanism": row.mechanism,
-                "hit_pct": round(row.hit_pct, 2),
-                "min_l2": row.min_l2,
-                "configs_simulated": row.configs_simulated,
-                "sizes_pruned": row.sizes_pruned,
-            }
-            for row in warm_rows
-        ],
-        "seconds": {
-            "cold": round(cold_s, 3),
-            "warm": round(warm_s, 3),
-            "speedup": round(speedup, 2),
-        },
-        "pr8_analytic_warm_seconds": baseline_seconds(),
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

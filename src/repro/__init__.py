@@ -20,7 +20,7 @@ Public layers:
 * :mod:`repro.workloads` — benchmark models and microbenchmarks
 * :mod:`repro.trace` — traces, sampling, compression
 * :mod:`repro.sim` — runners, sweeps, the L2 comparison
-* :mod:`repro.analytic` — stack-distance profiles and the screened search
+* :mod:`repro.analytic` — stack-distance profiles and closed-form models
 * :mod:`repro.reporting` — the paper's tables and figures
 """
 

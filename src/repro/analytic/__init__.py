@@ -1,37 +1,27 @@
-"""Analytic locality engine: stack-distance profiles replacing grid simulation.
+"""Analytic locality engine: stack-distance profiles and closed-form models.
 
 One pass over an L1 miss trace (:mod:`repro.analytic.profile`) yields the
-exact fully-associative LRU hit rate of every capacity at once and, via a
-binomial set-partition correction (:mod:`repro.analytic.model`), accurate
-estimates for the paper's whole set-associative L2 grid.  The screening
-search (:mod:`repro.analytic.screen`) uses those curves to answer the
-Table 4 question — the minimum L2 matching the stream hit rate — while
-simulating only a handful of boundary configurations.  The companion
-stream-side model (:mod:`repro.analytic.streams`) does the same for the
-*other* axis of the paper: a one-pass miss-spectrum extraction
+exact fully-associative LRU hit rate of every capacity at once
+(:mod:`repro.analytic.model`); the same stack-distance kernel run per set
+evaluates the paper's whole set-associative L2 grid exactly
+(:func:`~repro.caches.sampling.l2_ladder`), which is how the Table 4
+search answers the minimum L2 matching the stream hit rate
+(:mod:`repro.analytic.screen` keeps its analytic-path name).  The
+companion stream-side model (:mod:`repro.analytic.streams`) does the same
+for the *other* axis of the paper: a one-pass miss-spectrum extraction
 (:mod:`repro.trace.spectrum`) feeds a closed-form stream-buffer hit-rate
 model that predicts ``n_streams``/filter/czone sweep cells without
 replay, each prediction carrying a declared error bound the differ
 enforces against the golden oracle.  See ``docs/analytic.md``.
 """
 
-from repro.analytic.model import (
-    best_estimate_at_size,
-    estimate_hit_rate,
-    fa_hit_count,
-    fa_hit_curve,
-    fa_hit_rate,
-)
+from repro.analytic.model import fa_hit_count, fa_hit_curve, fa_hit_rate
 from repro.analytic.profile import (
     PROFILE_BLOCK_SIZES,
     LocalityProfile,
     profile_miss_trace,
 )
-from repro.analytic.screen import (
-    ESTIMATOR_SLACK,
-    ensure_profiles,
-    min_matching_l2_size_analytic,
-)
+from repro.analytic.screen import min_matching_l2_size_analytic
 from repro.analytic.streams import (
     StreamPrediction,
     ensure_spectrum,
@@ -42,13 +32,9 @@ from repro.analytic.streams import (
 
 __all__ = [
     "PROFILE_BLOCK_SIZES",
-    "ESTIMATOR_SLACK",
     "LocalityProfile",
     "StreamPrediction",
-    "best_estimate_at_size",
-    "ensure_profiles",
     "ensure_spectrum",
-    "estimate_hit_rate",
     "fa_hit_count",
     "fa_hit_curve",
     "fa_hit_rate",

@@ -1,65 +1,21 @@
 """Hit-rate evaluation from a locality profile.
 
-Two evaluators over a :class:`~repro.analytic.profile.LocalityProfile`:
-
-* **Fully-associative LRU** — exact, by Mattson's theorem: a demand
-  access hits in a C-block cache iff its stack distance is below C, so a
-  prefix sum over the histogram gives the hit count of every capacity at
-  once, bit-identical to simulating the ``n_sets == 1`` cache.
-* **Set-associative LRU** — estimated, with the *combined locality*
-  set-partition model of Ling et al. ("Fast Modeling L2 Cache Reuse
-  Distance Histograms", arXiv 1907.05068): an access with full-stack
-  distance d hits in an A-way set iff at most A-1 of the d intervening
-  distinct blocks land in its set.  The naive model takes that landing
-  probability to be the uniform 1/S; real address streams skew — arrays
-  walk sets unevenly, hot structures pile into a few sets — so the
-  profile additionally carries per-index-bucket footprint and demand
-  arrays (:data:`~repro.analytic.profile.PROFILE_BUCKETS` buckets keyed
-  by block index, the same ``block & (n_sets-1)`` bits the cache hashes
-  on).  Per set s the model uses the *footprint share*
-  ``f_s = U_s / U_total`` as the landing probability and weights the
-  per-set binomial CDFs by the *demand share* ``w_s = D_s / D_total``:
-
-      P_hit(d) = sum_s w_s * P[Binomial(d, f_s) <= A-1]
-
-  Uniform streams give f_s = 1/S exactly and the model degrades to the
-  naive binomial; profiles from before the bucket arrays existed fall
-  back to it explicitly.  Exact for S == 1 by construction; validated
-  against direct simulation in ``tests/test_analytic_profile.py`` and
-  error-bounded in ``docs/analytic.md`` (the measured bound backs
-  ``ESTIMATOR_SLACK`` in :mod:`repro.analytic.screen`).
-
-The binomial CDF is computed with a vectorised term recurrence (no scipy
-dependency): term_k = term_{k-1} * (d-k+1)/k * p/(1-p).  For speed the
-per-set (f_s, w_s) pairs are collapsed to at most
-:data:`MAX_PARTITION_GROUPS` weighted groups (exact when there are that
-few distinct footprint shares, demand-weighted quantile bins otherwise),
-so an estimate costs O(groups * assoc * len(hist)) regardless of S.
+Fully-associative LRU is exact by Mattson's theorem: a demand access
+hits in a C-block cache iff its stack distance is below C, so a prefix
+sum over a :class:`~repro.analytic.profile.LocalityProfile`'s histogram
+gives the hit count of every capacity at once, bit-identical to
+simulating the ``n_sets == 1`` cache.  Set-associative configurations
+need no estimate: the same stack-distance kernel run per set
+(:func:`~repro.caches.sampling.l2_ladder`) gives their exact counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence
 
 from repro.analytic.profile import LocalityProfile
-from repro.caches.cache import CacheConfig
-from repro.caches.secondary import candidate_configs
 
-__all__ = [
-    "MAX_PARTITION_GROUPS",
-    "fa_hit_count",
-    "fa_hit_rate",
-    "fa_hit_curve",
-    "set_partition_groups",
-    "estimate_hit_rate",
-    "best_estimate_at_size",
-]
-
-#: Cap on distinct (landing probability, weight) groups one estimate
-#: evaluates; beyond it, groups are demand-weighted quantile bins.
-MAX_PARTITION_GROUPS = 16
+__all__ = ["fa_hit_count", "fa_hit_rate", "fa_hit_curve"]
 
 
 def fa_hit_count(profile: LocalityProfile, capacity_bytes: int) -> int:
@@ -94,160 +50,3 @@ def fa_hit_curve(
 ) -> Dict[int, float]:
     """Exact fully-associative hit rate at each capacity (bytes)."""
     return {capacity: fa_hit_rate(profile, capacity) for capacity in capacities}
-
-
-def _binomial_cdf(distances: np.ndarray, successes: int, p: float) -> np.ndarray:
-    """P[Binomial(d, p) <= successes] for each d, by term recurrence."""
-    if p <= 0.0:
-        return np.ones_like(distances, dtype=np.float64)
-    if p >= 1.0:
-        return (distances <= successes).astype(np.float64)
-    d = distances.astype(np.float64)
-    ratio = p / (1.0 - p)
-    # term_0 = (1-p)^d; log-space keeps long distances from underflowing
-    # to a silent 0 * inf in the recurrence.
-    term = np.exp(d * np.log1p(-p))
-    total = term.copy()
-    for k in range(1, successes + 1):
-        term = term * (d - k + 1) / k * ratio
-        np.maximum(term, 0.0, out=term)  # d < k contributes nothing
-        total += term
-    return np.minimum(total, 1.0)
-
-
-def set_partition_groups(
-    profile: LocalityProfile, n_sets: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Per-set (landing probability, demand weight) groups of a profile.
-
-    Collapses the profile's index-bucket footprint/demand arrays to at
-    most :data:`MAX_PARTITION_GROUPS` weighted groups ``(f, w)`` with
-    ``sum(w) == 1``: an intervening distinct block lands in a group-f set
-    with probability f, and fraction w of demand goes to such sets.
-
-    Returns None when the profile predates the bucket arrays (the caller
-    then falls back to the uniform ``1/n_sets`` model).  Exact when the
-    stream is uniform over sets or there are few distinct footprint
-    shares; demand-weighted quantile binning otherwise.
-    """
-    footprint = profile.bucket_footprint
-    bucket_demand = profile.bucket_demand
-    if footprint is None or bucket_demand is None:
-        return None
-    n_buckets = len(footprint)
-    total_footprint = int(footprint.sum())
-    total_demand = int(bucket_demand.sum())
-    if total_footprint <= 0 or total_demand <= 0:
-        return None
-    if n_sets <= n_buckets:
-        # set index = bucket & (n_sets - 1): exact per-set sums.
-        folds = n_buckets // n_sets
-        set_footprint = footprint.reshape(folds, n_sets).sum(axis=0)
-        set_demand = bucket_demand.reshape(folds, n_sets).sum(axis=0)
-        f = set_footprint / total_footprint
-        w = set_demand / total_demand
-    else:
-        # Each bucket's footprint spreads over n_sets / n_buckets sets;
-        # uniform-within-bucket is the best available refinement.
-        spread = n_sets // n_buckets
-        f = footprint / (total_footprint * spread)
-        w = bucket_demand / total_demand
-    keep = w > 0
-    f, w = f[keep], w[keep]
-    values, inverse = np.unique(f, return_inverse=True)
-    if len(values) <= MAX_PARTITION_GROUPS:
-        merged_w = np.zeros(len(values))
-        np.add.at(merged_w, inverse, w)
-        return values, merged_w
-    # Demand-weighted quantile bins over the sorted landing probabilities.
-    order = np.argsort(f)
-    f, w = f[order], w[order]
-    edges = np.searchsorted(
-        np.cumsum(w), np.linspace(0.0, 1.0, MAX_PARTITION_GROUPS + 1)[1:-1]
-    )
-    groups_f = []
-    groups_w = []
-    for lo, hi in zip(
-        np.concatenate(([0], edges)), np.concatenate((edges, [len(f)]))
-    ):
-        if hi <= lo:
-            continue
-        weight = w[lo:hi].sum()
-        if weight <= 0:
-            continue
-        groups_f.append(float(np.dot(f[lo:hi], w[lo:hi]) / weight))
-        groups_w.append(float(weight))
-    return np.array(groups_f), np.array(groups_w)
-
-
-def estimate_hit_rate(profile: LocalityProfile, config: CacheConfig) -> float:
-    """Estimated local hit rate of an LRU cache from the profile.
-
-    Exact for fully-associative configurations (``n_sets == 1``);
-    otherwise the combined-locality set-partition estimate described in
-    the module docstring, degrading to the uniform binomial when the
-    profile carries no bucket arrays.
-
-    Raises:
-        ValueError: when the config's block size differs from the
-            profile's, or for non-LRU policies (the stack model only
-            describes LRU).
-    """
-    if config.block_size != profile.block_size:
-        raise ValueError(
-            f"config block size {config.block_size} != profile block size "
-            f"{profile.block_size}"
-        )
-    if config.policy != "lru":
-        raise ValueError(f"stack-distance model requires LRU, got {config.policy!r}")
-    demand = profile.demand_accesses
-    if not demand:
-        return 0.0
-    if config.n_sets == 1:
-        return fa_hit_count(profile, config.capacity) / demand
-    hist = profile.demand_hist
-    if not len(hist):
-        return 0.0
-    distances = np.arange(len(hist))
-    groups = set_partition_groups(profile, config.n_sets)
-    if groups is None:
-        p_hit = _binomial_cdf(distances, config.assoc - 1, 1.0 / config.n_sets)
-    else:
-        fs, ws = groups
-        p_hit = np.zeros(len(hist))
-        for f, w in zip(fs.tolist(), ws.tolist()):
-            p_hit += w * _binomial_cdf(distances, config.assoc - 1, f)
-    return float(np.dot(hist, p_hit)) / demand
-
-
-def best_estimate_at_size(
-    profiles: Mapping[int, LocalityProfile],
-    size: int,
-    assocs: Optional[Sequence[int]] = None,
-    block_sizes: Optional[Sequence[int]] = None,
-) -> Tuple[float, CacheConfig]:
-    """Best estimated hit rate over the paper's config grid at one size.
-
-    Args:
-        profiles: block size -> profile (one per grid block size).
-        size: L2 capacity in bytes.
-        assocs / block_sizes: grid axes; default to the paper's.
-
-    Returns:
-        ``(estimate, config)`` for the best configuration.
-
-    Raises:
-        KeyError: when a grid block size has no profile.
-    """
-    kwargs = {}
-    if assocs is not None:
-        kwargs["assocs"] = assocs
-    if block_sizes is not None:
-        kwargs["block_sizes"] = block_sizes
-    best: Optional[Tuple[float, CacheConfig]] = None
-    for config in candidate_configs(size, **kwargs):
-        estimate = estimate_hit_rate(profiles[config.block_size], config)
-        if best is None or estimate > best[0]:
-            best = (estimate, config)
-    assert best is not None  # candidate_configs never returns an empty grid
-    return best

@@ -4,9 +4,7 @@ One pass over a :class:`~repro.caches.cache.MissTrace` yields, per L2
 block size, the exact LRU stack-distance histogram of the demand stream —
 split by read/write — plus the cold-access and write-back counts.  From a
 :class:`LocalityProfile` the hit rate of *every* fully-associative LRU
-capacity follows by a prefix sum (Mattson's result), and the
-set-associative estimator in :mod:`repro.analytic.model` extends it to
-the paper's whole L2 grid without further simulation.
+capacity follows by a prefix sum (Mattson's result).
 
 Semantics match :func:`~repro.caches.secondary.simulate_secondary`
 exactly: demand fetches (read/write/ifetch misses) update recency and are
@@ -16,19 +14,21 @@ fully-associative evaluation is therefore bit-identical to simulating an
 ``n_sets == 1`` LRU cache over the same trace (the differ stage in
 :mod:`repro.check.differ` enforces this against the golden oracle).
 
-The pass is the standard O(n log n) Fenwick-tree algorithm, inlined so
-one traversal fills the read and write histograms and the cold/write-back
-counters together.
+The pass is :func:`~repro.caches.secondary.lru_stack_distances` with no
+set mask (the fully-associative stack); the histograms, cold and
+write-back counts and index-bucket arrays are array reductions over its
+per-access distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.caches.cache import MissEventKind, MissTrace
+from repro.caches.secondary import COLD, lru_stack_distances
 from repro.mem.address import is_power_of_two, log2_int
 
 __all__ = [
@@ -42,10 +42,10 @@ __all__ = [
 #: granularities.
 PROFILE_BLOCK_SIZES: Tuple[int, ...] = (64, 128)
 
-#: Index-bucket count for the combined-locality arrays: block address
+#: Index-bucket count for the footprint/demand arrays: block address
 #: modulo this many buckets.  A power of two at least as large as any
-#: swept set count, so exact per-set footprints/demand shares fall out of
-#: a reshape-sum for every ``n_sets <= PROFILE_BUCKETS`` (set index =
+#: swept set count, so per-set footprints/demand shares fall out of a
+#: reshape-sum for every ``n_sets <= PROFILE_BUCKETS`` (set index =
 #: bucket mod n_sets when both are powers of two).
 PROFILE_BUCKETS = 1024
 
@@ -65,9 +65,9 @@ class LocalityProfile:
         writebacks: L1 write-backs absorbed (recency/install only).
         unique_blocks: distinct blocks touched by any event.
         bucket_footprint: ``bucket_footprint[i]`` counts distinct blocks
-            whose index ``block % PROFILE_BUCKETS == i`` (combined
-            locality: the footprint's spread over set indices).  ``None``
-            on profiles predating the combined-locality estimator.
+            whose index ``block % PROFILE_BUCKETS == i`` (the footprint's
+            spread over set indices).  ``None`` on profiles stored before
+            the bucket arrays existed.
         bucket_demand: demand events per index bucket, same keying.
     """
 
@@ -129,7 +129,7 @@ def profile_miss_trace(
 ) -> Dict[int, LocalityProfile]:
     """Profile a miss trace at each requested block size.
 
-    One Fenwick-tree pass per block size; the trace is traversed with the
+    One stack-distance pass per block size; the trace is traversed with the
     write-back install/recency semantics of
     :func:`~repro.caches.secondary.simulate_secondary` so the resulting
     fully-associative evaluation is exact (see the module docstring).
@@ -153,83 +153,30 @@ def profile_miss_trace(
 
 def _profile_one(miss_trace: MissTrace, block_size: int) -> LocalityProfile:
     """One single-pass stack-distance profile at ``block_size``."""
-    bits = log2_int(block_size)
-    addrs = miss_trace.addrs.tolist()
-    kinds = miss_trace.kinds.tolist()
-    n = len(addrs)
-    wb_kind = int(MissEventKind.WRITEBACK)
-    write_kind = int(MissEventKind.WRITE_MISS)
-
-    # Fenwick tree over trace positions, inlined for the hot loop: a 1 at
-    # position p means p is the most recent access of some block.
-    tree = [0] * (n + 1)
-
-    def _add(index: int, delta: int) -> None:
-        index += 1
-        while index <= n:
-            tree[index] += delta
-            index += index & -index
-
-    def _prefix(index: int) -> int:
-        index += 1
-        total = 0
-        while index > 0:
-            total += tree[index]
-            index -= index & -index
-        return total
-
-    last_position: Dict[int, int] = {}
-    read_counts: Dict[int, int] = {}
-    write_counts: Dict[int, int] = {}
-    cold_reads = 0
-    cold_writes = 0
-    writebacks = 0
+    blocks = miss_trace.addrs >> log2_int(block_size)
+    kinds = miss_trace.kinds
+    dist = lru_stack_distances(blocks)
+    cold = dist == COLD
+    writeback = kinds == int(MissEventKind.WRITEBACK)
+    write = kinds == int(MissEventKind.WRITE_MISS)
+    read = ~writeback & ~write
+    read_dist = dist[read & ~cold]
+    write_dist = dist[write & ~cold]
+    length = int(max(read_dist.max(initial=-1), write_dist.max(initial=-1))) + 1
     bucket_mask = PROFILE_BUCKETS - 1
-    bucket_demand = [0] * PROFILE_BUCKETS
-    for position, (addr, kind) in enumerate(zip(addrs, kinds)):
-        block = addr >> bits
-        previous = last_position.get(block)
-        if kind == wb_kind:
-            writebacks += 1
-        elif previous is None:
-            if kind == write_kind:
-                cold_writes += 1
-            else:
-                cold_reads += 1
-        else:
-            # Distinct blocks touched strictly between the two accesses:
-            # most-recent markers in (previous, position).
-            distance = _prefix(position - 1) - _prefix(previous)
-            counts = write_counts if kind == write_kind else read_counts
-            counts[distance] = counts.get(distance, 0) + 1
-        if kind != wb_kind:
-            bucket_demand[block & bucket_mask] += 1
-        if previous is not None:
-            _add(previous, -1)
-        _add(position, +1)
-        last_position[block] = position
-
-    bucket_footprint = [0] * PROFILE_BUCKETS
-    for block in last_position:
-        bucket_footprint[block & bucket_mask] += 1
-
     return LocalityProfile(
         block_size=block_size,
-        read_hist=_counts_to_array(read_counts, write_counts.keys()),
-        write_hist=_counts_to_array(write_counts, read_counts.keys()),
-        cold_reads=cold_reads,
-        cold_writes=cold_writes,
-        writebacks=writebacks,
-        unique_blocks=len(last_position),
-        bucket_footprint=np.array(bucket_footprint, dtype=np.int64),
-        bucket_demand=np.array(bucket_demand, dtype=np.int64),
+        read_hist=_histogram(read_dist, length),
+        write_hist=_histogram(write_dist, length),
+        cold_reads=int(np.count_nonzero(read & cold)),
+        cold_writes=int(np.count_nonzero(write & cold)),
+        writebacks=int(np.count_nonzero(writeback)),
+        unique_blocks=int(np.count_nonzero(cold)),
+        bucket_footprint=_histogram(blocks[cold] & bucket_mask, PROFILE_BUCKETS),
+        bucket_demand=_histogram(blocks[~writeback] & bucket_mask, PROFILE_BUCKETS),
     )
 
 
-def _counts_to_array(counts: Dict[int, int], other_keys: Iterable[int]) -> np.ndarray:
-    """Densify a distance->count dict, padded to the paired histogram."""
-    max_distance = max(list(counts) + list(other_keys), default=-1)
-    hist = np.zeros(max_distance + 1, dtype=np.int64)
-    for distance, count in counts.items():
-        hist[distance] = count
-    return hist
+def _histogram(values: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount`` of non-negative ``values`` over ``length`` bins."""
+    return np.bincount(values, minlength=length).astype(np.int64, copy=False)

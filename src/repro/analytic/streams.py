@@ -374,9 +374,7 @@ def ensure_spectrum(miss_trace, store=None, digest: Optional[str] = None):
 
     Loads from ``store`` when a current-format record exists under
     ``digest``; otherwise extracts in-process and (when a store and
-    digest are given) persists the result for the next session.  The
-    companion of :func:`repro.analytic.screen.ensure_profiles` for the
-    spectrum layer.
+    digest are given) persists the result for the next session.
     """
     if store is not None and digest is not None:
         stored = store.get("spectrum", digest)

@@ -6,24 +6,39 @@ estimates the hit rate from the accesses that map to those sets.  Because
 set mapping is a pure function of the block address, the sampled sets see
 exactly the accesses the full cache's same sets would see, so per-set
 behaviour is exact and only the cross-set mix is estimated.
+
+:func:`l2_ladder` evaluates a whole ladder of LRU configurations at once:
+one :func:`~repro.caches.secondary.lru_stack_distances` pass per (set
+count, block size) serves every associativity at that set count, with
+the same sampled-set mask as :func:`sampled_hit_rate`, so its results
+are bit-identical to per-configuration simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.caches.cache import CacheConfig, MissTrace
-from repro.caches.secondary import SecondaryResult, simulate_secondary
+from repro.caches.cache import CacheConfig, MissEventKind, MissTrace
+from repro.caches.secondary import (
+    SecondaryResult,
+    candidate_configs,
+    lru_stack_distances,
+    simulate_secondary,
+)
+from repro.check import invariants as _inv
 
 __all__ = [
     "SamplingPlan",
     "sampled_hit_rate",
+    "lru_results",
+    "l2_ladder",
     "sampling_error_bound",
-    "sampling_halfwidth",
 ]
+
+_WB = int(MissEventKind.WRITEBACK)
 
 
 @dataclass(frozen=True)
@@ -45,78 +60,99 @@ class SamplingPlan:
         return (n_sets + self.sample_every - 1) // self.sample_every
 
 
+def sample_factor(plan: SamplingPlan, n_sets: int) -> int:
+    """The plan's factor, halved until at least 4 of ``n_sets`` sets stay."""
+    sample_every = plan.sample_every
+    while sample_every > 1 and n_sets // sample_every < 4:
+        sample_every //= 2
+    return sample_every
+
+
 def sampled_hit_rate(
     miss_trace: MissTrace,
     config: CacheConfig,
-    plan: SamplingPlan = SamplingPlan(),
+    plan: SamplingPlan,
 ) -> SecondaryResult:
-    """Estimate an L2's local hit rate via set sampling.
+    """Simulate ``config`` with set sampling.
 
     Falls back to full simulation when the cache has fewer sets than the
     sampling factor would leave meaningful (at least 4 sampled sets).
-
-    Where :func:`~repro.sim.vector.secondary_vector_supported` holds,
-    the sampling mask and the guaranteed-hit collapse run vectorized
-    (:mod:`repro.sim.vector`), bit-identical to the scalar
-    :func:`~repro.caches.secondary.simulate_secondary` that serves every
-    other config.
+    This is the scalar :func:`~repro.caches.secondary.simulate_secondary`;
+    :func:`lru_results` answers write-allocate LRU configurations in bulk
+    with the same results.
     """
-    from repro.sim.vector import vector_simulate_secondary
-
-    sample_every = plan.sample_every
-    while sample_every > 1 and config.n_sets // sample_every < 4:
-        sample_every //= 2
-    result = vector_simulate_secondary(miss_trace, config, sample_every=sample_every)
-    if result is not None:
-        return result
-    return simulate_secondary(miss_trace, config, sample_every=sample_every)
+    return simulate_secondary(
+        miss_trace, config, sample_every=sample_factor(plan, config.n_sets)
+    )
 
 
-def sampling_halfwidth(
-    sampled_demand_accesses: int,
-    hit_rate: float = 0.5,
-    z: float = 3.0,
-    population: int = None,
-) -> float:
-    """A-priori confidence half-width of a set-sampled hit-rate estimate.
+def lru_results(
+    miss_trace: MissTrace,
+    configs: Iterable[CacheConfig],
+    plan: SamplingPlan,
+    force: bool = False,
+) -> Dict[CacheConfig, SecondaryResult]:
+    """:func:`sampled_hit_rate` of every config, one pass per set count.
 
-    The forward-looking companion of
-    :meth:`~repro.caches.secondary.SecondaryResult.hit_rate_halfwidth`:
-    given how many demand accesses a sampling plan would leave (roughly
-    ``total demand / sample_every``), bound how far the sampled estimate
-    can sit from the full-cache value *before* running any simulation.
-    The analytic screen widens its pruning margin by this amount so
-    sampling noise cannot flip a match decision it skipped simulating.
+    Configs sharing a (set count, block size) share one stack-distance
+    pass over their sampled sets: a demand access hits A ways iff its
+    per-set distance is below A, and write-backs enter the stack without
+    being counted, as in :func:`~repro.caches.secondary.simulate_secondary`.
+    Under ``REPRO_CHECK=1`` every config runs :func:`sampled_hit_rate`
+    instead, so the scalar cache's invariants keep their coverage;
+    ``force`` keeps the stack pass (the differ compares it even then).
 
-    Degenerate cases are pinned rather than extrapolated: a sample that
-    covers the whole population is an exact measurement (half-width 0.0,
-    not a positive band that would loosen the screen), and an empty
-    *population* has nothing to mis-estimate (0.0 again, matching the
-    PR 3 convention of pinning empty-trace hit rates to 0.0).  Only an
-    empty sample drawn from a non-empty population is genuinely
-    uninformative and returns the vacuous band 1.0.
-
-    Args:
-        sampled_demand_accesses: demand accesses the sampled sets see.
-        hit_rate: anticipated hit rate; the default 0.5 maximises
-            ``p*(1-p)`` and therefore the band (a safe worst case).
-        z: sigma multiplier (3 by default, matching the screen).
-        population: total demand accesses the full cache would see, when
-            known.  Enables the exact-measurement and empty-population
-            pins above; ``None`` preserves the bare binomial band.
-
-    Returns:
-        The half-width: 0.0 for exact or vacuously-exact measurements,
-        1.0 when a non-empty population is entirely unsampled, else the
-        ``z * sqrt(p(1-p)/n)`` binomial band.
+    Raises:
+        ValueError: for a config that is not a write-allocate LRU cache
+            (the stack describes no other residency).
     """
-    if population is not None and population <= 0:
-        return 0.0
-    if sampled_demand_accesses <= 0:
-        return 1.0
-    if population is not None and sampled_demand_accesses >= population:
-        return 0.0
-    return z * float(np.sqrt(hit_rate * (1.0 - hit_rate) / sampled_demand_accesses))
+    configs = list(configs)
+    for config in configs:
+        if config.policy != "lru" or not config.write_allocate:
+            raise ValueError(
+                f"the stack-distance ladder needs write-allocate LRU, got {config}"
+            )
+    if _inv.ENABLED and not force:
+        return {config: sampled_hit_rate(miss_trace, config, plan) for config in configs}
+    groups: Dict[Tuple[int, int], List[CacheConfig]] = {}
+    for config in configs:
+        groups.setdefault((config.n_sets, config.block_bits), []).append(config)
+    results: Dict[CacheConfig, SecondaryResult] = {}
+    for (n_sets, block_bits), members in groups.items():
+        set_mask = n_sets - 1
+        sample_every = sample_factor(plan, n_sets)
+        blocks = miss_trace.addrs >> block_bits
+        kinds = miss_trace.kinds
+        if sample_every > 1:
+            sampled = ((blocks & set_mask) % sample_every) == 0
+            blocks, kinds = blocks[sampled], kinds[sampled]
+        dist = lru_stack_distances(blocks, set_mask)[kinds != _WB]
+        reuse = np.sort(dist[dist >= 0])
+        for config in members:
+            results[config] = SecondaryResult(
+                config=config,
+                demand_accesses=int(dist.shape[0]),
+                demand_hits=int(np.searchsorted(reuse, config.assoc)),
+                writebacks_received=int(kinds.shape[0] - dist.shape[0]),
+                sampled_sets=(n_sets + sample_every - 1) // sample_every,
+            )
+    return {config: results[config] for config in configs}
+
+
+def l2_ladder(
+    miss_trace: MissTrace,
+    sizes: Sequence[int],
+    sampling: SamplingPlan,
+    force: bool = False,
+) -> Dict[CacheConfig, SecondaryResult]:
+    """Every :func:`~repro.caches.secondary.candidate_configs` config of
+    every size, ascending by size, through :func:`lru_results`."""
+    return lru_results(
+        miss_trace,
+        [config for size in sorted(sizes) for config in candidate_configs(size)],
+        sampling,
+        force=force,
+    )
 
 
 def sampling_error_bound(

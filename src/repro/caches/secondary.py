@@ -8,6 +8,11 @@ of 64 and 128 bytes, i.e. the best configuration at each size.
 The L2 consumes the L1's :class:`~repro.caches.cache.MissTrace`: demand
 fetches look up (and on miss allocate in) the L2 and count toward the local
 hit rate; L1 write-backs update the L2 (write-allocate) but do not count.
+
+:func:`lru_stack_distances` is the one-pass alternative for LRU: by the
+inclusion property (Mattson), an access hits an A-way LRU set iff fewer
+than A distinct blocks of its set were touched since the previous access
+to its block, so one pass per set count answers every associativity.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
 
 __all__ = [
@@ -23,6 +30,8 @@ __all__ = [
     "simulate_secondary",
     "candidate_configs",
     "best_hit_rate_at_size",
+    "lru_stack_distances",
+    "COLD",
     "PAPER_L2_SIZES",
     "PAPER_L2_ASSOCS",
     "PAPER_L2_BLOCKS",
@@ -32,6 +41,9 @@ __all__ = [
 PAPER_L2_SIZES: Tuple[int, ...] = tuple(64 * 1024 * (1 << i) for i in range(7))
 PAPER_L2_ASSOCS: Tuple[int, ...] = (1, 2, 4)
 PAPER_L2_BLOCKS: Tuple[int, ...] = (64, 128)
+
+#: :func:`lru_stack_distances` of a first touch (no earlier access).
+COLD = -1
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class SecondaryResult:
         error is ``sqrt(p * (1-p) / n)`` over the ``n`` demand accesses
         that mapped to sampled sets.  ``z`` widens it to the desired
         confidence (the default 3 sigma is what the analytic screen uses
-        to decide when sampling noise could flip a match decision).
+        to separate a real hit-rate difference from sampling noise).
 
         0.0 when every set was simulated — the measurement is exact; 1.0
         when sampling left no demand accesses at all (no information).
@@ -178,3 +190,83 @@ def best_hit_rate_at_size(
             best = result
     assert best is not None  # candidate_configs never returns an empty grid
     return best
+
+
+def lru_stack_distances(blocks: np.ndarray, set_mask: int = 0) -> np.ndarray:
+    """Per-set LRU stack distance of every access of a block stream.
+
+    ``dist[i]`` counts the distinct blocks of the same set (``block &
+    set_mask``) touched since the previous access to ``blocks[i]``, or is
+    :data:`COLD` on a first touch.  An access hits an A-way LRU set iff
+    ``0 <= dist[i] < A``; ``set_mask`` 0 is the fully-associative stack.
+
+    The stream is grouped stably by set and adjacent same-block repeats
+    (distance 0 at every associativity, the set-local collapse of
+    :mod:`repro.sim.vector`) are dropped.  For each kept access with
+    ``prev`` the position of the previous access to its block, the
+    accesses between the two that are the first of their block since
+    ``prev`` are exactly those ``q`` with ``prev[q] < prev[i]``, so
+
+        dist(i) = #{q < i : prev[q] < prev[i]} - prev[i] - 1
+
+    (every ``q <= prev[i]`` qualifies).  That count is done by level-wise
+    merge counting with ``np.searchsorted``: O(log n) array passes, no
+    per-access Python.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    n = blocks.shape[0]
+    dist = np.zeros(n, dtype=np.int64)
+    if not n:
+        return dist
+    order = None
+    if set_mask:
+        sets = blocks & set_mask
+        if set_mask <= 0xFFFF:
+            sets = sets.astype(np.uint16)
+        order = np.argsort(sets, kind="stable")
+        blocks = blocks[order]
+    kept = np.ones(n, dtype=bool)
+    np.not_equal(blocks[1:], blocks[:-1], out=kept[1:])
+    kept_blocks = blocks[kept]
+    by_block = np.argsort(kept_blocks, kind="stable")
+    same = kept_blocks[by_block[1:]] == kept_blocks[by_block[:-1]]
+    prev = np.full(kept_blocks.shape[0], -1, dtype=np.int64)
+    prev[by_block[1:][same]] = by_block[:-1][same]
+    kept_dist = _count_earlier_smaller(prev) - prev - 1
+    kept_dist[prev < 0] = COLD
+    dist[kept] = kept_dist
+    if order is not None:
+        dist[order] = dist.copy()
+    return dist
+
+
+def _count_earlier_smaller(values: np.ndarray) -> np.ndarray:
+    """``#{q < i : values[q] < values[i]}`` for every ``i``.
+
+    Bottom-up merge counting: at the level of width ``w`` every element
+    of an odd ``w``-block counts the smaller elements of the even block
+    before it with one ``searchsorted`` over the blocks' sorted contents,
+    keyed by ``block * span + value`` so the whole level is one sorted
+    array.  Each pair ``q < i`` meets in exactly one level.
+    """
+    n = values.shape[0]
+    counts = np.zeros(n, dtype=np.int64)
+    if n < 2:
+        return counts
+    base = int(values.min())
+    values = values - base
+    span = int(values.max()) + 1
+    position = np.arange(n, dtype=np.int64)
+    keys = values  # sorted within every block of the current width
+    level = 0
+    while (1 << level) < n:
+        block = position >> level
+        right = np.flatnonzero(block & 1)
+        left = block[right] - 1
+        counts[right] += np.searchsorted(
+            block * span + keys, left * span + values[right]
+        ) - (left << level)
+        pair = (position >> (level + 1)) * span
+        keys = np.sort(pair + keys, kind="stable") - pair
+        level += 1
+    return counts

@@ -37,18 +37,22 @@ The rows, in corpus order:
 * ``hybrid`` — :func:`~repro.sim.vector.replay_secondary`'s two-phase
   residual composition (its stream member on whichever engine the drawn
   config selects) vs the oracle's online composition;
-* ``analytic`` — the stack-distance profiler's fully-associative LRU hit
-  counts (:mod:`repro.analytic.profile`) vs driving a one-set
+* ``analytic`` — the stack-distance kernel, both ways it is used: the
+  profiler's fully-associative LRU hit counts
+  (:mod:`repro.analytic.profile`) vs a one-set
   :class:`~repro.check.oracle.RefCache` with L2 semantics over the same
-  trace — Mattson's theorem, checked bit-for-bit;
+  trace (Mattson's theorem), and every result of a random small set-
+  sampled L2 ladder (:func:`~repro.caches.sampling.l2_ladder`) vs a
+  set-sampled ``RefCache`` per configuration, bit-for-bit;
 * ``analytic-streams`` — the miss-spectrum extraction
   (:mod:`repro.trace.spectrum`) vs its naive O(n^2) reference,
   bit-for-bit, then the closed-form stream-buffer model
   (:mod:`repro.analytic.streams`) vs the golden stream oracle, within
   each prediction's declared error bound;
 * ``vector`` — the batch engines of :mod:`repro.sim.vector` (L1, stream
-  replay, sampled L2 probe) vs their scalar counterparts on
-  configurations coerced into the vector support envelope.
+  replay) and the stack-distance L2 (:func:`~repro.caches.sampling.lru_results`)
+  vs their scalar counterparts on configurations coerced into each
+  engine's support envelope.
 
 :func:`diff_registry_workload` runs a real registry workload at small
 scale through the full L1 + streams pipeline vs both oracles; its
@@ -69,7 +73,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
-from repro.caches.secondary import simulate_secondary
+from repro.caches.sampling import SamplingPlan, l2_ladder, lru_results, sampled_hit_rate
+from repro.caches.secondary import candidate_configs
 from repro.check import invariants as _inv
 from repro.check import mech_oracle, oracle
 from repro.core.bank import Lookup
@@ -82,7 +87,6 @@ from repro.sim.vector import (
     replay_streams,
     vector_replay_streams,
     vector_simulate_cache,
-    vector_simulate_secondary,
 )
 from repro.trace.events import Trace
 from repro.workloads.base import BenchmarkInfo, Workload, get_workload, workload_class
@@ -722,6 +726,80 @@ def _reference_fa_hits(case) -> Dict[str, object]:
     return {"fa": counts}
 
 
+#: L2 sizes the ladder check draws from: 512 B (one 4-way set of 128 B
+#: blocks) to 32 KB, small enough for the folded trace to fill them.
+_LADDER_SIZES = tuple(512 << i for i in range(7))
+
+
+def _analytic_case(rng: random.Random, n_events: int) -> Dict[str, object]:
+    miss_trace = random_miss_trace(rng, n_events)
+    # The ladder replays the trace folded into a small footprint, so its
+    # sets see reuse at every distance.
+    footprint = 1 << rng.randrange(12, 17)
+    return {
+        "miss_trace": miss_trace,
+        "sizes": tuple(sorted(rng.sample(_LADDER_SIZES, 2))),
+        "sample_every": rng.choice([1, 2, 4, 8]),
+        "footprint": footprint,
+        "ladder_trace": MissTrace(
+            miss_trace.addrs % footprint, miss_trace.kinds, miss_trace.block_bits
+        ),
+    }
+
+
+def _ladder_results(case) -> Dict[str, object]:
+    # force=True keeps the stack pass under REPRO_CHECK=1, where the
+    # ladder otherwise runs the scalar cache per configuration.
+    return {"ladder": l2_ladder(
+        case["ladder_trace"], case["sizes"], SamplingPlan(case["sample_every"]), force=True
+    )}
+
+
+def _reference_ladder(case) -> Dict[str, object]:
+    """Every ladder configuration on a set-sampled LRU RefCache: only
+    sets whose index is a multiple of the factor are driven (the factor
+    halved until at least 4 sets stay), write-backs install but do not
+    count."""
+    addrs = case["ladder_trace"].addrs.tolist()
+    kinds = case["ladder_trace"].kinds.tolist()
+    results = {}
+    for size in case["sizes"]:
+        for config in candidate_configs(size):
+            every = case["sample_every"]
+            while every > 1 and config.n_sets // every < 4:
+                every //= 2
+            ref = oracle.RefCache(
+                capacity=config.capacity,
+                assoc=config.assoc,
+                block_size=config.block_size,
+                policy="lru",
+                write_back=True,
+                write_allocate=True,
+                seed=0,
+            )
+            sink: List[Tuple[int, int]] = []
+            demand = hits = writebacks = 0
+            for addr, kind in zip(addrs, kinds):
+                if (addr >> ref.block_bits) % ref.n_sets % every:
+                    continue
+                if kind == oracle.EV_WRITEBACK:
+                    writebacks += 1
+                    ref.access(addr, oracle.ACCESS_WRITE, sink)
+                    continue
+                demand += 1
+                is_write = kind == oracle.EV_WRITE_MISS
+                hits += ref.access(
+                    addr, oracle.ACCESS_WRITE if is_write else oracle.ACCESS_READ, sink
+                )
+            results[config] = {
+                "demand_accesses": demand,
+                "demand_hits": hits,
+                "writebacks_received": writebacks,
+                "sampled_sets": -(-ref.n_sets // every),
+            }
+    return {"ladder": results}
+
+
 #: Events of the prefix the naive O(n^2) spectrum reference runs on.
 _SPECTRUM_PREFIX = 400
 
@@ -778,17 +856,19 @@ def _stream_model_within_bound(case) -> Optional[Tuple[str, str, str]]:
 
 
 def _vector_case(rng: random.Random, n_events: int) -> Dict[str, object]:
-    # Write-back/write-allocate L1 and L2, and a unified head-only
-    # zero-latency stream config (any stride detector): the vector
-    # engines' support envelope.  Anything outside it falls back to
-    # scalar in production.
+    # Write-back/write-allocate L1, a unified head-only zero-latency
+    # stream config (any stride detector) and a write-allocate LRU L2:
+    # the batch engines' support envelope.  Anything outside it falls
+    # back to scalar in production.
     config = replace(random_cache_config(rng), write_back=True, write_allocate=True)
     trace = random_trace(rng, n_events)
     stream_config = replace(
         random_stream_config(rng), partitioned=False, lookup_depth=1, min_lead=0
     )
     miss_trace = random_miss_trace(rng, n_events, block_bits=stream_config.block_bits)
-    l2_config = replace(random_cache_config(rng), write_back=True, write_allocate=True)
+    l2_config = replace(
+        random_cache_config(rng), policy="lru", write_back=True, write_allocate=True
+    )
     return {
         "config": config,
         "trace": trace,
@@ -807,10 +887,10 @@ def _vector_engines(case) -> Dict[str, object]:
     return {
         "l1": None if l1 is None else {"events": _events(l1[0]), "stats": l1[1]},
         "streams": vector_replay_streams(case["stream_config"], case["miss_trace"], force=True),
-        "l2": vector_simulate_secondary(
-            case["miss_trace"], case["l2_config"], sample_every=case["sample_every"],
+        "l2": lru_results(
+            case["miss_trace"], [case["l2_config"]], SamplingPlan(case["sample_every"]),
             force=True,
-        ),
+        )[case["l2_config"]],
     }
 
 
@@ -820,8 +900,8 @@ def _scalar_engines(case) -> Dict[str, object]:
     return {
         "l1": {"events": events, "stats": cache.stats},
         "streams": StreamPrefetcher(case["stream_config"]).run(case["miss_trace"]),
-        "l2": simulate_secondary(
-            case["miss_trace"], case["l2_config"], sample_every=case["sample_every"]
+        "l2": sampled_hit_rate(
+            case["miss_trace"], case["l2_config"], SamplingPlan(case["sample_every"])
         ),
     }
 
@@ -884,9 +964,9 @@ diff_analytic = Stage(
     name="analytic",
     salt=3266489917,
     events=2500,
-    case=lambda rng, n_events: {"miss_trace": random_miss_trace(rng, n_events)},
-    runners=(("profile", _profile_hits),),
-    reference=_reference_fa_hits,
+    case=_analytic_case,
+    runners=(("profile", _profile_hits), ("l2_ladder", _ladder_results)),
+    reference=lambda case: {**_reference_fa_hits(case), **_reference_ladder(case)},
 )
 
 diff_analytic_streams = Stage(

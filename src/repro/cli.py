@@ -158,26 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--scale", type=float, default=1.0)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument(
-        "--analytic",
-        action="store_true",
-        help="run the analytically screened streams-vs-L2 search instead "
-        "(Table 4 fast path; see docs/analytic.md)",
-    )
-    compare.add_argument(
         "--mechanism",
         default=None,
         metavar="SPEC",
         help="find the minimum matching L2 for this secondary mechanism "
-        "(e.g. victim:16, misscache:16, victim:16+streams) instead of "
-        "the baseline table; combines with --analytic "
+        "(e.g. streams, victim:16, misscache:16, victim:16+streams) "
+        "instead of the baseline table, printing the exact L2 ladder "
         "(see docs/mechanisms.md)",
     )
     compare.add_argument(
         "--trace-store",
         default=None,
         metavar="PATH",
-        help="persistent store for miss traces and locality profiles "
-        "(--analytic only)",
+        help="persistent store for miss traces (--mechanism only)",
     )
     _add_obs_flags(compare)
 
@@ -841,8 +834,6 @@ def _print_spectrum(workload) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.analytic:
-        return _cmd_compare_analytic(args)
     if args.mechanism:
         return _cmd_compare_mechanism(args)
     from repro.baselines import (
@@ -885,8 +876,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_mechanism(args: argparse.Namespace) -> int:
-    """The ``repro compare --mechanism`` path: brute-force minimum
-    matching L2 search for one secondary mechanism."""
+    """The ``repro compare --mechanism`` path: the minimum matching L2
+    for one secondary mechanism, with the whole exact ladder."""
     from repro.mechanisms import parse_mechanism_spec
     from repro.reporting.tables import render_table
     from repro.sim.compare import format_size, min_matching_l2_size
@@ -933,76 +924,7 @@ def _cmd_compare_mechanism(args: argparse.Namespace) -> int:
     )
     print(f"\n{match.mechanism} hit rate : {match.stream_hit_rate_percent:.1f}%")
     print(f"min matching L2 : {format_size(match.matched_size)}")
-    print(f"simulated       : {match.configs_simulated} candidate configs")
-    obs.finish()
-    return 0
-
-
-def _cmd_compare_analytic(args: argparse.Namespace) -> int:
-    """The ``repro compare --analytic`` path: screened Table-4 search."""
-    from repro.analytic import min_matching_l2_size_analytic
-    from repro.caches.secondary import PAPER_L2_ASSOCS, PAPER_L2_BLOCKS
-    from repro.reporting.tables import render_table
-    from repro.sim.compare import format_size
-
-    mechanism = None
-    if args.mechanism:
-        from repro.mechanisms import parse_mechanism_spec
-
-        try:
-            mechanism = parse_mechanism_spec(args.mechanism)
-        except ValueError as exc:
-            print(f"bad --mechanism: {exc}", file=sys.stderr)
-            return 2
-    store = TraceStore(args.trace_store) if args.trace_store else None
-    cache = MissTraceCache(store=store)
-    obs = _ObsSession(args, "compare")
-    match = min_matching_l2_size_analytic(
-        args.workload,
-        scale=args.scale,
-        seed=args.seed,
-        cache=cache,
-        mechanism=mechanism,
-    )
-    obs.set_meta(
-        workload=match.workload,
-        scale=match.scale,
-        mechanism=match.mechanism,
-        matched_size=match.matched_size,
-        configs_simulated=match.configs_simulated,
-        sizes_pruned=match.sizes_pruned,
-    )
-    probed = {point.size: point for point in match.l2_hit_rates}
-    rows = []
-    for size, estimate in match.analytic_estimates:
-        point = probed.get(size)
-        rows.append(
-            [
-                format_size(size),
-                100.0 * estimate,
-                100.0 * point.hit_rate if point else None,
-                f"{point.assoc}-way/{point.block_size}B" if point else "screened out",
-            ]
-        )
-    print(
-        render_table(
-            ["L2 size", "analytic est %", "simulated %", "best config"],
-            rows,
-            title=(
-                f"Analytic Table-4 screen on {match.workload} "
-                f"(scale {match.scale:g})"
-            ),
-        )
-    )
-    grid = len(match.analytic_estimates) * len(PAPER_L2_ASSOCS) * len(PAPER_L2_BLOCKS)
-    print(f"\nmechanism       : {match.mechanism}")
-    print(f"target hit rate : {match.stream_hit_rate_percent:.1f}%")
-    print(f"min matching L2 : {format_size(match.matched_size)}")
-    print(f"simulated       : {match.configs_simulated}/{grid} candidate configs")
-    print(
-        f"screened out    : {match.sizes_pruned} ladder sizes "
-        f"({match.probe_seconds:.2f}s probing)"
-    )
+    print(f"evaluated       : {match.configs_simulated} candidate configs")
     obs.finish()
     return 0
 

@@ -19,10 +19,19 @@ from repro.mechanisms import MechanismConfig, mechanism_label
 from repro.reporting import paper_data
 from repro.reporting.figures import render_series
 from repro.reporting.tables import render_table
-from repro.sim.compare import MatchResult, format_size, min_matching_l2_size
+from repro.caches.secondary import PAPER_L2_SIZES
+from repro.sim.compare import (
+    TABLE4_SAMPLING,
+    MatchResult,
+    evaluate_ladder,
+    format_size,
+    match_ladder,
+    min_matching_l2_size,
+    replay_target,
+)
 from repro.sim.parallel import SweepTask, grid_stats
 from repro.sim.runner import MissTraceCache, default_cache
-from repro.trace.store import TraceStore
+from repro.trace.store import TraceStore, canonical_scale
 from repro.workloads import (
     NON_UNIT_STRIDE_BENCHMARKS,
     PAPER_BENCHMARKS,
@@ -46,8 +55,6 @@ __all__ = [
     "render_figure9",
     "table4",
     "render_table4",
-    "analytic4",
-    "render_analytic4",
     "default_zoo",
     "mechzoo",
     "render_mechzoo",
@@ -464,112 +471,6 @@ def render_table4(rows: List[Table4Row]) -> str:
     )
 
 
-# -- analytic Table 4 screen ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalyticScreenRow:
-    """One (workload, scale) cell of the analytic-vs-simulated screen.
-
-    Attributes:
-        name / scale: the Table 4 cell.
-        stream_hit_pct: stream hit rate being matched.
-        min_l2_analytic: matched size from the analytic screen.
-        min_l2_simulated: matched size from the pure binary search
-            (``"-"`` when verification was skipped).
-        configs_analytic / configs_simulated: L2 configurations each
-            path simulated (out of ``grid_configs``).
-        grid_configs: size of the full candidate grid.
-        agree: both paths returned the same matched size.
-    """
-
-    name: str
-    scale: float
-    stream_hit_pct: float
-    min_l2_analytic: str
-    min_l2_simulated: str
-    configs_analytic: int
-    configs_simulated: int
-    grid_configs: int
-    agree: bool
-
-
-def analytic4(
-    names: Optional[Sequence[str]] = None,
-    scales: Optional[Dict[str, Tuple[float, float]]] = None,
-    cache: Optional[MissTraceCache] = None,
-    verify: bool = True,
-) -> List[AnalyticScreenRow]:
-    """Table 4 via the analytic screen, cross-checked against simulation.
-
-    Runs :func:`repro.analytic.screen.min_matching_l2_size_analytic` on
-    every Table 4 cell and (by default) the pure-simulation search too,
-    recording whether the matched sizes agree and how many of the
-    candidate configurations each path actually simulated.
-    """
-    from repro.analytic import min_matching_l2_size_analytic
-    from repro.caches.secondary import PAPER_L2_ASSOCS, PAPER_L2_BLOCKS, PAPER_L2_SIZES
-
-    scales = scales if scales is not None else TABLE4_SCALES
-    if names is not None:
-        scales = {k: v for k, v in scales.items() if k in names}
-    cache = cache if cache is not None else default_cache()
-    grid = len(PAPER_L2_SIZES) * len(PAPER_L2_ASSOCS) * len(PAPER_L2_BLOCKS)
-    rows = []
-    for name, pair in scales.items():
-        for scale in pair:
-            analytic = min_matching_l2_size_analytic(name, scale=scale, cache=cache)
-            if verify:
-                simulated = min_matching_l2_size(name, scale=scale, cache=cache)
-                min_l2_simulated = format_size(simulated.matched_size)
-                configs_simulated = simulated.configs_simulated
-                agree = simulated.matched_size == analytic.matched_size
-            else:
-                min_l2_simulated = "-"
-                configs_simulated = 0
-                agree = True
-            rows.append(
-                AnalyticScreenRow(
-                    name=name,
-                    scale=scale,
-                    stream_hit_pct=analytic.stream_hit_rate_percent,
-                    min_l2_analytic=format_size(analytic.matched_size),
-                    min_l2_simulated=min_l2_simulated,
-                    configs_analytic=analytic.configs_simulated,
-                    configs_simulated=configs_simulated,
-                    grid_configs=grid,
-                    agree=agree,
-                )
-            )
-    return rows
-
-
-def render_analytic4(rows: List[AnalyticScreenRow]) -> str:
-    """Render the analytic-screen exhibit with its simulation budget."""
-    table = render_table(
-        ["bench", "scale", "stream hit %", "analytic L2", "simulated L2", "cfgs", "brute cfgs"],
-        [
-            [
-                r.name,
-                r.scale,
-                r.stream_hit_pct,
-                r.min_l2_analytic,
-                r.min_l2_simulated,
-                f"{r.configs_analytic}/{r.grid_configs}",
-                f"{r.configs_simulated}/{r.grid_configs}",
-            ]
-            for r in rows
-        ],
-        title="Analytic Table 4 screen: stack-distance search vs brute force",
-        precision=2,
-    )
-    disagreements = [r for r in rows if not r.agree]
-    if disagreements:
-        cells = ", ".join(f"{r.name}@{r.scale:g}" for r in disagreements)
-        return table + f"\n\nDISAGREEMENTS: {cells}"
-    return table + "\n\nall matched sizes agree with brute-force simulation"
-
-
 # -- mechanism zoo ----------------------------------------------------------
 
 
@@ -604,8 +505,6 @@ class MechZooRow:
     mechanism: str
     hit_pct: float
     min_l2: str
-    configs_simulated: int
-    sizes_pruned: int
     match: MatchResult
 
 
@@ -614,18 +513,16 @@ def mechzoo(
     scales: Optional[Dict[str, Tuple[float, float]]] = None,
     cache: Optional[MissTraceCache] = None,
     mechanisms: Optional[Dict[str, MechanismConfig]] = None,
-    analytic: bool = True,
 ) -> List[MechZooRow]:
     """Minimum matching L2 per secondary mechanism (the headline zoo).
 
     For every benchmark (at its Table 4 scales where defined, else 1.0)
     and every mechanism in the zoo, find the smallest secondary cache
     whose hit rate matches the mechanism's — Table 4 generalised from
-    streams to the whole mechanism family.  The default path goes
-    through the analytic screen (mechanism-agnostic pruning; see
-    docs/analytic.md), so every reported match is still witnessed by
-    real sampled simulation; ``analytic=False`` forces the brute-force
-    search instead.
+    streams to the whole mechanism family.  The L2 ladder does not
+    depend on the mechanism, so each (benchmark, scale) evaluates it
+    once and searches it once per mechanism's target: the same result
+    :func:`~repro.sim.compare.min_matching_l2_size` gives per mechanism.
     """
     names = names if names is not None else PAPER_BENCHMARKS
     scales = scales if scales is not None else TABLE4_SCALES
@@ -634,17 +531,14 @@ def mechzoo(
     rows = []
     for name in names:
         for scale in scales.get(name, (1.0,)):
+            miss_trace, _ = cache.get(name, scale=scale)
+            ladder, seconds = evaluate_ladder(miss_trace, PAPER_L2_SIZES, TABLE4_SAMPLING)
             for mech in mechanisms.values():
-                if analytic:
-                    from repro.analytic import min_matching_l2_size_analytic
-
-                    match = min_matching_l2_size_analytic(
-                        name, scale=scale, cache=cache, mechanism=mech
-                    )
-                else:
-                    match = min_matching_l2_size(
-                        name, scale=scale, cache=cache, mechanism=mech
-                    )
+                stats, label = replay_target(miss_trace, mechanism=mech)
+                match = match_ladder(
+                    name, canonical_scale(scale), stats, label, ladder,
+                    PAPER_L2_SIZES, seconds,
+                )
                 rows.append(
                     MechZooRow(
                         name=name,
@@ -652,8 +546,6 @@ def mechzoo(
                         mechanism=match.mechanism,
                         hit_pct=match.stream_hit_rate_percent,
                         min_l2=format_size(match.matched_size),
-                        configs_simulated=match.configs_simulated,
-                        sizes_pruned=match.sizes_pruned,
                         match=match,
                     )
                 )
@@ -680,12 +572,10 @@ def render_mechzoo(rows: List[MechZooRow]) -> str:
         title="Mechanism zoo: min matching L2 (hit % matched) per mechanism",
         precision=2,
     )
-    simulated = sum(r.configs_simulated for r in rows)
-    pruned = sum(r.sizes_pruned for r in rows)
+    configs = rows[0].match.configs_simulated if rows else 0
     return table + (
-        f"\n\ncells: {len(rows)}; L2 configurations simulated: {simulated}; "
-        f"ladder sizes pruned analytically: {pruned}; "
-        "every reported match witnessed by sampled simulation"
+        f"\n\ncells: {len(rows)}; one exact L2 ladder of {configs} configurations "
+        f"per (bench, scale), shared by its {len(order)} mechanisms"
     )
 
 
@@ -702,7 +592,6 @@ EXHIBITS = {
     "figure8": (figure8, render_figure8),
     "figure9": (figure9, render_figure9),
     "table4": (table4, render_table4),
-    "analytic4": (analytic4, render_analytic4),
     "mechzoo": (mechzoo, render_mechzoo),
 }
 

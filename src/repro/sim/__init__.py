@@ -27,7 +27,6 @@ from repro.sim.vector import (
     replay_streams,
     vector_replay_streams,
     vector_simulate_cache,
-    vector_simulate_secondary,
 )
 from repro.sim.system import MemorySystem, ServiceLevel, SystemStats
 
@@ -60,5 +59,4 @@ __all__ = [
     "sweep_n_streams",
     "vector_replay_streams",
     "vector_simulate_cache",
-    "vector_simulate_secondary",
 ]

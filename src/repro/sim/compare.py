@@ -5,26 +5,25 @@ capacity whose best-configuration local hit rate (associativity 1-4,
 block 64/128B) matches the stream buffers' hit rate.  Set sampling keeps
 the multi-megabyte configurations affordable, as in the paper.
 
-The search exploits that the best-config hit rate is monotone
-non-decreasing in capacity (more sets of the same geometry can only keep
-more of the working set): instead of simulating every size in ascending
-order, :func:`min_matching_l2_size` binary-searches the size ladder and
-each probed size stops at the first configuration reaching the target.
-``MatchResult.l2_hit_rates`` records the probed sizes only, each with the
+LRU has the inclusion property (Mattson), so one per-set stack-distance
+pass yields the hit count of every associativity at a set count:
+:func:`~repro.caches.sampling.l2_ladder` evaluates the whole candidate
+grid exactly — bit-identical to simulating each configuration with
+:func:`~repro.caches.sampling.sampled_hit_rate` — in one pass per (set
+count, block size).  :func:`min_matching_l2_size` then binary-searches
+that ladder; ``MatchResult.l2_hit_rates`` records every size with the
 (assoc, block) provenance of its best configuration.
-
-:mod:`repro.analytic.screen` layers a stack-distance fast path on the
-same probe helper, pruning most sizes without any simulation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.caches.sampling import SamplingPlan, sampled_hit_rate
-from repro.caches.secondary import PAPER_L2_SIZES, candidate_configs
+from repro.caches.cache import CacheConfig, MissTrace
+from repro.caches.sampling import SamplingPlan, l2_ladder
+from repro.caches.secondary import PAPER_L2_SIZES, SecondaryResult, candidate_configs
 from repro.core.config import StreamConfig
 from repro.core.prefetcher import StreamStats
 from repro.mechanisms import MechanismConfig, mechanism_label
@@ -38,25 +37,31 @@ __all__ = [
     "SizePoint",
     "MatchResult",
     "StreamSweepCell",
+    "TABLE4_SAMPLING",
     "min_matching_l2_size",
+    "replay_target",
+    "evaluate_ladder",
+    "match_ladder",
     "analytic_stream_sweep",
-    "probe_size",
     "search_min_match",
     "format_size",
 ]
 
 WorkloadRef = Union[str, Workload]
 
+#: The Table 4 search's set-sampling plan: every 8th set.
+TABLE4_SAMPLING = SamplingPlan(sample_every=8)
+
 
 class SizePoint(NamedTuple):
-    """Best probed configuration at one candidate L2 size.
+    """Best configuration at one candidate L2 size.
 
     Attributes:
         size: L2 capacity in bytes.
-        hit_rate: best local hit rate observed at this size (the probe
-            stops at the first configuration reaching the target, so
-            this is the match witness, not necessarily the grid optimum).
-        assoc: associativity of that best configuration.
+        hit_rate: best local hit rate over the size's candidate grid.
+        assoc: associativity of that best configuration (the first in
+            :func:`~repro.caches.secondary.candidate_configs` order on
+            a tie).
         block_size: block size of that best configuration.
     """
 
@@ -83,18 +88,14 @@ class MatchResult:
             mechanisms can be searched.
         matched_size: smallest L2 capacity reaching the mechanism hit
             rate, or None if even the largest candidate fell short.
-        l2_hit_rates: per-size best probe results, ascending by size.
-            Only sizes the search actually simulated appear.
-        configs_simulated: L2 configurations simulated during the search.
-        method: ``"simulated"`` (pure binary search) or ``"analytic"``
-            (stack-distance screen, :mod:`repro.analytic.screen`).
-        analytic_estimates: ``(size, estimate)`` pairs from the analytic
-            screen; empty for the pure-simulation path.
-        sizes_pruned: ladder sizes the analytic screen rejected as
-            certain misses without simulating (0 for the pure path).
-        probe_seconds: wall time spent inside :func:`probe_size` across
-            the whole search.  Excluded from equality, like the
-            provenance fields on :class:`~repro.sim.results.RunResult`.
+        l2_hit_rates: the best configuration of every candidate size,
+            ascending by size.
+        configs_simulated: L2 configurations the ladder evaluated.
+        sizes_pruned: ladder sizes decided without evaluation; always 0,
+            since the ladder evaluates every size exactly.
+        probe_seconds: wall time spent evaluating the ladder.  Excluded
+            from equality, like the provenance fields on
+            :class:`~repro.sim.results.RunResult`.
     """
 
     workload: str
@@ -103,8 +104,6 @@ class MatchResult:
     matched_size: Optional[int]
     l2_hit_rates: Tuple[SizePoint, ...]
     configs_simulated: int = 0
-    method: str = "simulated"
-    analytic_estimates: Tuple[Tuple[int, float], ...] = field(default=())
     sizes_pruned: int = 0
     probe_seconds: float = field(default=0.0, compare=False)
     mechanism: str = "streams"
@@ -114,84 +113,98 @@ class MatchResult:
         return self.stream_stats.hit_rate_percent
 
 
-def probe_size(
-    miss_trace,
-    size: int,
-    sampling: SamplingPlan,
-    target: float,
-) -> Tuple[SizePoint, int]:
-    """Simulate one candidate size's grid, stopping at the first match.
-
-    Configurations are visited in the fixed :func:`candidate_configs`
-    order (assoc ascending x block ascending) and the probe early-exits
-    at the first hit rate reaching ``target`` — a deterministic witness,
-    so any two searches probing the same size see identical results.
-
-    Returns:
-        ``(best point, configurations simulated)``.
-    """
-    best_rate = 0.0
-    best_config = None
-    simulated = 0
-    with get_tracer().span("l2.probe", size=size):
-        for config in candidate_configs(size):
-            simulated += 1
-            rate = sampled_hit_rate(miss_trace, config, sampling).local_hit_rate
-            if best_config is None or rate > best_rate:
-                best_rate, best_config = rate, config
-            if rate >= target:
-                break
-    engine_registry().counter(
-        "engine_l2_configs_simulated_total", "secondary-cache configurations simulated"
-    ).inc(simulated)
-    assert best_config is not None  # candidate_configs never returns an empty grid
-    return (
-        SizePoint(
-            size=size,
-            hit_rate=best_rate,
-            assoc=best_config.assoc,
-            block_size=best_config.block_size,
-        ),
-        simulated,
-    )
-
-
-def search_min_match(
-    n_sizes: int,
-    decide: Callable[[int], bool],
-    guess: Optional[int] = None,
-) -> Optional[int]:
-    """Lower-bound search over a monotone match predicate.
+def search_min_match(n_sizes: int, decide: Callable[[int], bool]) -> Optional[int]:
+    """Lower-bound binary search over a match predicate.
 
     Args:
         n_sizes: ladder length; indices ``0 .. n_sizes-1`` ascend in size.
         decide: ``decide(i)`` — does the size at index ``i`` reach the
-            target?  Must be monotone (False below some boundary, True
-            at and above it) for the result to be the true minimum.
-        guess: optional index to probe first (an analytic screen's
-            predicted boundary).  After each probe the next guess is the
-            adjacent boundary candidate, so a correct prediction resolves
-            in two probes; a wrong one degrades gracefully toward plain
-            binary search.
+            target?  The result is the true minimum where it is monotone
+            (False below some boundary, True at and above it).
 
     Returns:
         Index of the smallest matching size, or None when nothing
         matches.
     """
-    guided = guess is not None
     left, right = 0, n_sizes
     while left < right:
-        if guided and guess is not None and left <= guess < right:
-            mid = guess
-        else:
-            mid = (left + right) // 2
+        mid = (left + right) // 2
         if decide(mid):
             right = mid
-            guess = mid - 1
         else:
             left = mid + 1
-            guess = mid + 1
     return left if left < n_sizes else None
+
+
+def replay_target(
+    miss_trace: MissTrace,
+    stream_config: Optional[StreamConfig] = None,
+    mechanism: Optional[MechanismConfig] = None,
+) -> Tuple[StreamStats, str]:
+    """The secondary-mechanism run a search matches, and its label.
+
+    ``mechanism`` selects any secondary mechanism; ``stream_config`` is
+    the backward-compatible spelling of the streams case (default: the
+    paper's Table 4 setup, :meth:`StreamConfig.non_unit`).
+    """
+    if mechanism is not None and mechanism.kind != "streams":
+        return replay_secondary(mechanism, miss_trace), mechanism_label(mechanism)
+    if mechanism is not None:
+        config = mechanism.streams
+    else:
+        config = stream_config if stream_config is not None else StreamConfig.non_unit()
+    return replay_streams(config, miss_trace), "streams"
+
+
+def evaluate_ladder(
+    miss_trace: MissTrace,
+    sizes: Sequence[int],
+    sampling: SamplingPlan,
+) -> Tuple[Dict[CacheConfig, SecondaryResult], float]:
+    """:func:`~repro.caches.sampling.l2_ladder` inside an ``l2.ladder``
+    span, counted in ``engine_l2_configs_simulated_total``; returns the
+    ladder and its wall time."""
+    started = time.perf_counter()
+    with get_tracer().span("l2.ladder", sizes=len(sizes)):
+        ladder = l2_ladder(miss_trace, sizes, sampling)
+    engine_registry().counter(
+        "engine_l2_configs_simulated_total", "secondary-cache configurations simulated"
+    ).inc(len(ladder))
+    return ladder, time.perf_counter() - started
+
+
+def match_ladder(
+    name: str,
+    scale: float,
+    stream_stats: StreamStats,
+    mechanism: str,
+    ladder: Dict[CacheConfig, SecondaryResult],
+    sizes: Sequence[int],
+    probe_seconds: float = 0.0,
+) -> MatchResult:
+    """Search an evaluated ladder for the smallest size whose best
+    configuration reaches ``stream_stats.hit_rate``."""
+    points: List[SizePoint] = []
+    for size in sorted(sizes):
+        best = max(
+            (ladder[config] for config in candidate_configs(size)),
+            key=lambda result: result.local_hit_rate,
+        )
+        points.append(
+            SizePoint(size, best.local_hit_rate, best.config.assoc, best.config.block_size)
+        )
+    target = stream_stats.hit_rate
+    matched = search_min_match(len(points), lambda i: points[i].hit_rate >= target)
+    return MatchResult(
+        workload=name,
+        scale=scale,
+        stream_stats=stream_stats,
+        matched_size=None if matched is None else points[matched].size,
+        l2_hit_rates=tuple(points),
+        configs_simulated=len(ladder),
+        probe_seconds=probe_seconds,
+        mechanism=mechanism,
+    )
 
 
 def min_matching_l2_size(
@@ -200,7 +213,7 @@ def min_matching_l2_size(
     seed: int = 0,
     stream_config: Optional[StreamConfig] = None,
     sizes: Sequence[int] = PAPER_L2_SIZES,
-    sampling: SamplingPlan = SamplingPlan(sample_every=8),
+    sampling: SamplingPlan = TABLE4_SAMPLING,
     cache: Optional[MissTraceCache] = None,
     mechanism: Optional[MechanismConfig] = None,
 ) -> MatchResult:
@@ -211,8 +224,8 @@ def min_matching_l2_size(
     ``mechanism`` searches against any other secondary mechanism (victim
     cache, miss cache, hybrid stack); ``stream_config`` remains the
     backward-compatible spelling of the streams case and may not be
-    combined with it.  The size ladder is binary-searched (see the module
-    docstring), so only O(log n) of the candidate sizes are simulated.
+    combined with it.  The whole size ladder is evaluated exactly (see
+    the module docstring) and then binary-searched.
     """
     if mechanism is not None and stream_config is not None:
         raise ValueError("pass either stream_config or mechanism, not both")
@@ -220,46 +233,9 @@ def min_matching_l2_size(
     # Provenance must match the simulation: an instance's own scale wins.
     name, scale, seed, _ = resolve_workload_ref(workload, scale, seed)
     miss_trace, _ = cache.get(workload, scale=scale, seed=seed)
-    if mechanism is not None and mechanism.kind != "streams":
-        mech_stats = replay_secondary(mechanism, miss_trace)
-        stream_stats = mech_stats
-        label = mechanism_label(mechanism)
-    else:
-        if mechanism is not None:
-            config = mechanism.streams
-        else:
-            config = (
-                stream_config if stream_config is not None else StreamConfig.non_unit()
-            )
-        stream_stats = replay_streams(config, miss_trace)
-        label = "streams"
-    target = stream_stats.hit_rate
-
-    sizes_sorted = sorted(sizes)
-    points: List[SizePoint] = []
-    counter = [0]
-    probe_clock = [0.0]
-
-    def decide(index: int) -> bool:
-        started = time.perf_counter()
-        point, simulated = probe_size(miss_trace, sizes_sorted[index], sampling, target)
-        probe_clock[0] += time.perf_counter() - started
-        points.append(point)
-        counter[0] += simulated
-        return point.hit_rate >= target
-
-    matched_index = search_min_match(len(sizes_sorted), decide)
-    return MatchResult(
-        workload=name,
-        scale=scale,
-        stream_stats=stream_stats,
-        matched_size=None if matched_index is None else sizes_sorted[matched_index],
-        l2_hit_rates=tuple(sorted(points)),
-        configs_simulated=counter[0],
-        method="simulated",
-        probe_seconds=probe_clock[0],
-        mechanism=label,
-    )
+    stats, label = replay_target(miss_trace, stream_config, mechanism)
+    ladder, seconds = evaluate_ladder(miss_trace, sizes, sampling)
+    return match_ladder(name, scale, stats, label, ladder, sizes, seconds)
 
 
 @dataclass(frozen=True)
@@ -309,8 +285,7 @@ def analytic_stream_sweep(
     cell; this path extracts the miss spectrum once (cached in the
     :class:`~repro.trace.store.TraceStore` under the trace digest) and
     evaluates every cell with the closed-form model of
-    :mod:`repro.analytic.streams`.  Like the Table 4 screen, predictions
-    never stand alone: the ``witness`` policy picks cells to replay for
+    :mod:`repro.analytic.streams`.  Predictions never stand alone: the ``witness`` policy picks cells to replay for
     real and :meth:`StreamSweepCell.within_bound` records whether the
     replay landed inside each prediction's declared error bound.
 

@@ -37,17 +37,15 @@ Design (see docs/vectorized.md for the full argument):
   banks, ``lookup_depth`` > 1, latency model) fall back to the scalar
   prefetcher.
 
-* **Sampled L2 probes.**  :func:`vector_simulate_secondary` applies the
-  set-sampling filter as one vectorized mask (the scalar loop pays full
-  loop cost even for skipped accesses) and then runs the same set-local
-  collapse; only hit/miss membership matters for the L2's counters, so
-  the residue loop is even leaner than L1's.
+The Table 4 L2 grid needs no batch engine here: its write-allocate LRU
+configurations are answered by one stack-distance pass per set count
+(:func:`~repro.caches.sampling.l2_ladder`), which uses the same
+set-local collapse of adjacent repeats.
 
 Engine dispatch depends on the input alone: each batch engine serves
 exactly the inputs its support predicate (:func:`cache_vector_supported`,
-:func:`streams_vector_supported`, :func:`secondary_vector_supported`)
-accepts and returns None elsewhere, and its dispatcher then runs the
-scalar code.  Under ``REPRO_CHECK=1`` every predicate refuses, so the
+:func:`streams_vector_supported`) accepts and returns None elsewhere,
+and its dispatcher then runs the scalar code.  Under ``REPRO_CHECK=1`` every predicate refuses, so the
 scalar code's per-operation runtime invariants keep their coverage; the
 differ's ``vector`` stage drives the batch engines directly
 (``force=True``) so they stay differentially tested even then.
@@ -62,7 +60,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.caches.cache import CacheConfig, CacheStats, MissEventKind, MissTrace
-from repro.caches.secondary import SecondaryResult
 from repro.check import invariants as _inv
 from repro.core.config import StreamConfig
 from repro.core.filters import UnitStrideFilter
@@ -84,8 +81,6 @@ __all__ = [
     "vector_replay_streams",
     "replay_streams",
     "replay_secondary",
-    "secondary_vector_supported",
-    "vector_simulate_secondary",
 ]
 
 _WRITE = int(AccessKind.WRITE)
@@ -633,116 +628,3 @@ def replay_secondary(mechanism: MechanismConfig, miss_trace: MissTrace) -> MechS
                 member_stats.append(stats)
         return combine_member_stats(mechanism, member_stats)
     return build_mechanism(mechanism).run(miss_trace)
-
-
-# ---------------------------------------------------------------------------
-# Sampled secondary-cache probes
-# ---------------------------------------------------------------------------
-
-
-def secondary_vector_supported(config: CacheConfig) -> bool:
-    """Can :func:`vector_simulate_secondary` answer
-    :func:`simulate_secondary` queries for ``config``?
-
-    The L1 engine's dirty-collapse domain; under ``REPRO_CHECK`` the
-    scalar probe runs.
-    """
-    return _collapse_config(config) and not _inv.ENABLED
-
-
-def vector_simulate_secondary(
-    miss_trace: MissTrace,
-    config: CacheConfig,
-    sample_every: int = 1,
-    force: bool = False,
-) -> Optional[SecondaryResult]:
-    """Batch equivalent of :func:`repro.caches.secondary.simulate_secondary`.
-
-    The set-sampling filter becomes one vectorized mask (the scalar loop
-    still pays per-event dispatch for skipped accesses), then the same
-    set-local collapse as the L1 engine resolves guaranteed hits.  Only
-    residency matters for the L2 counters — dirty state never surfaces in
-    a :class:`SecondaryResult` — so the residue loop tracks membership
-    and recency only.  RNG draws for random replacement match the scalar
-    cache's order exactly.  Returns None exactly where
-    :func:`secondary_vector_supported` refuses ``config`` (``force`` only
-    bypasses the ``REPRO_CHECK`` stand-down).
-    """
-    if sample_every <= 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
-    if not _collapse_config(config) or (_inv.ENABLED and not force):
-        return None
-
-    block_bits = config.block_bits
-    set_mask = config.n_sets - 1
-    blocks = miss_trace.addrs >> block_bits
-    kinds = miss_trace.kinds
-    if sample_every > 1:
-        sampled = ((blocks & set_mask) % sample_every) == 0
-        blocks = blocks[sampled]
-        kinds = kinds[sampled]
-
-    is_demand = kinds != _WB
-    demand_total = int(np.count_nonzero(is_demand))
-    wb_total = int(kinds.shape[0]) - demand_total
-    n_sets = config.n_sets
-    sampled_sets = (
-        (n_sets + sample_every - 1) // sample_every if sample_every > 1 else n_sets
-    )
-
-    hits = 0
-    if blocks.shape[0]:
-        kept, starts_sorted, order = _collapse_set_local(blocks, set_mask)
-        demand_per_run = _fold_runs(
-            is_demand[order].astype(np.int64), starts_sorted, order, kept, np.add.reduceat
-        )
-        block_col = blocks[kept].tolist()
-        demand_col = demand_per_run.tolist()
-        first_demand_col = is_demand[kept].view(np.uint8).tolist()
-        assoc = config.assoc
-        if config.policy == "random":
-            rng = random.Random(config.seed)
-            randbelow = getattr(rng, "_randbelow", None) or rng.randrange
-            resident: set = set()
-            slots: List[List[int]] = [[] for _ in range(n_sets)]
-            for block, run_demand, first_demand in zip(
-                block_col, demand_col, first_demand_col
-            ):
-                if block in resident:
-                    hits += run_demand
-                    continue
-                hits += run_demand - first_demand
-                set_slots = slots[block & set_mask]
-                if len(set_slots) >= assoc:
-                    slot = randbelow(assoc)
-                    resident.discard(set_slots[slot])
-                    set_slots[slot] = block
-                else:
-                    set_slots.append(block)
-                resident.add(block)
-        else:
-            is_lru = config.policy == "lru"
-            sets: List["OrderedDict[int, None]"] = [
-                OrderedDict() for _ in range(n_sets)
-            ]
-            for block, run_demand, first_demand in zip(
-                block_col, demand_col, first_demand_col
-            ):
-                entries = sets[block & set_mask]
-                if block in entries:
-                    hits += run_demand
-                    if is_lru:
-                        entries.move_to_end(block)
-                    continue
-                hits += run_demand - first_demand
-                if len(entries) >= assoc:
-                    entries.popitem(last=False)
-                entries[block] = None
-
-    return SecondaryResult(
-        config=config,
-        demand_accesses=demand_total,
-        demand_hits=hits,
-        writebacks_received=wb_total,
-        sampled_sets=sampled_sets,
-    )

@@ -274,6 +274,9 @@ def extract_spectrum(miss_trace: MissTrace) -> MissSpectrum:
     ifetch_kind = int(MissEventKind.IFETCH_MISS)
 
     expect: Dict[int, _Run] = {}
+    # stride (blocks) -> runs of that stride in ``expect``: a write-back
+    # probes only the strides some open run has, not every open run.
+    open_strides: Dict[int, int] = {}
     # lone-miss block -> (addr, alloc mark at insertion), newest last.
     recent: "OrderedDict[int, Tuple[int, int]]" = OrderedDict()
     # partition tag -> (last addr, last delta or None).
@@ -321,6 +324,7 @@ def extract_spectrum(miss_trace: MissTrace) -> MissSpectrum:
             run.open = False  # expectation collision: the incumbent keeps it
         else:
             expect[next_block] = run
+            open_strides[stride_blocks] = open_strides.get(stride_blocks, 0) + 1
 
     for pos, (addr, kind) in enumerate(
         zip(miss_trace.addrs.tolist(), miss_trace.kinds.tolist())
@@ -328,16 +332,17 @@ def extract_spectrum(miss_trace: MissTrace) -> MissSpectrum:
         block = addr >> bb
         if kind == wb_kind:
             writebacks += 1
-            for run in expect.values():
-                offset = block - run.expected_block
-                stride = run.stride_blocks
-                if offset == 0:
-                    run.wb_next += 1
-                    run.wb_window += 1
-                elif stride != 0 and offset % stride == 0:
-                    steps = offset // stride
-                    if 0 < steps < WB_WINDOW_STRIDES:
-                        run.wb_window += 1
+            run = expect.get(block)
+            if run is not None:
+                run.wb_next += 1
+                run.wb_window += 1
+            # The runs expecting ``block - k*stride``, 0 < k < window.
+            for stride in open_strides:
+                if stride:
+                    for steps in range(1, WB_WINDOW_STRIDES):
+                        run = expect.get(block - steps * stride)
+                        if run is not None and run.stride_blocks == stride:
+                            run.wb_window += 1
             continue
 
         demand_misses += 1
@@ -346,6 +351,10 @@ def extract_spectrum(miss_trace: MissTrace) -> MissSpectrum:
 
         run = expect.pop(block, None)
         if run is not None:
+            if open_strides[run.stride_blocks] == 1:
+                del open_strides[run.stride_blocks]
+            else:
+                open_strides[run.stride_blocks] -= 1
             # Distinct other runs with a tracked element inside the gap:
             # the suffix of ``active`` later than this run's previous
             # element (the walk stops at the run's own entry).
@@ -375,6 +384,7 @@ def extract_spectrum(miss_trace: MissTrace) -> MissSpectrum:
             else:
                 run.expected_block = next_block
                 expect[next_block] = run
+                open_strides[run.stride_blocks] = open_strides.get(run.stride_blocks, 0) + 1
             continue
 
         if (block - 1) in recent:

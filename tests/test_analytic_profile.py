@@ -1,5 +1,9 @@
 """Tests for repro.analytic.profile and repro.analytic.model: the
-single-pass stack-distance profiler and its hit-rate evaluators."""
+single-pass stack-distance profiler and its fully-associative hit-rate
+evaluators, and the same kernel run per set
+(:func:`repro.caches.sampling.lru_results`) for set-associative LRU."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +11,20 @@ import pytest
 from repro.analytic import (
     PROFILE_BLOCK_SIZES,
     LocalityProfile,
-    best_estimate_at_size,
-    estimate_hit_rate,
     fa_hit_count,
     fa_hit_curve,
     fa_hit_rate,
     profile_miss_trace,
 )
 from repro.caches.cache import CacheConfig, MissEventKind, MissTrace
-from repro.caches.secondary import simulate_secondary
+from repro.caches.sampling import SamplingPlan, l2_ladder, lru_results
+from repro.caches.secondary import candidate_configs, simulate_secondary
+from repro.sim.compare import match_ladder
+
+
+def exact_rate(trace, config):
+    """The stack-distance kernel's hit rate for one config, every set."""
+    return lru_results(trace, [config], SamplingPlan(1))[config].local_hit_rate
 
 
 def make_trace(addrs, kinds=None, block_bits=6):
@@ -174,56 +183,55 @@ class TestFullyAssociativeExactness:
 
 
 class TestSetAssociativeEstimator:
+    """Set-associative LRU needs no estimate: the stack-distance kernel
+    run per set gives exact counts."""
+
     def test_exact_when_fully_associative(self):
         trace = random_trace()
         profile = profile_miss_trace(trace, block_sizes=(64,))[64]
         config = fa_config(16, 64)
-        assert estimate_hit_rate(profile, config) == fa_hit_rate(profile, config.capacity)
+        assert exact_rate(trace, config) == fa_hit_rate(profile, config.capacity)
 
     @pytest.mark.parametrize("assoc", [1, 2, 4])
     def test_close_to_simulation(self, assoc):
         trace = random_trace(n=4000, n_blocks=160)
-        profile = profile_miss_trace(trace, block_sizes=(64,))[64]
         config = CacheConfig(capacity=64 * 64, assoc=assoc, block_size=64, policy="lru")
-        estimate = estimate_hit_rate(profile, config)
-        simulated = simulate_secondary(trace, config).local_hit_rate
-        # docs/analytic.md "Validated error bounds": uniform-random
-        # traces are the estimator's worst case — direct-mapped lands
-        # ~0.028 here, higher associativities within 0.001.  The
-        # screen's ESTIMATOR_SLACK (0.01) is calibrated on the real
-        # benchmark grid; the bench gate checks parity end to end.
-        assert abs(estimate - simulated) < 0.03
-        if assoc > 1:
-            assert abs(estimate - simulated) < 0.005
+        # Uniform-random traces put the most conflict misses into a set.
+        assert lru_results(trace, [config], SamplingPlan(1))[config] == simulate_secondary(
+            trace, config
+        )
 
     def test_zero_demand_is_zero(self):
         kinds = [int(MissEventKind.WRITEBACK)] * 3
-        profile = profile_miss_trace(make_trace([0, 64, 128], kinds))[64]
+        trace = make_trace([0, 64, 128], kinds)
         config = CacheConfig(capacity=4096, assoc=2, block_size=64, policy="lru")
-        assert estimate_hit_rate(profile, config) == 0.0
-
-    def test_rejects_block_size_mismatch(self):
-        profile = profile_miss_trace(random_trace())[64]
-        with pytest.raises(ValueError):
-            estimate_hit_rate(
-                profile, CacheConfig(capacity=4096, assoc=2, block_size=128, policy="lru")
-            )
+        assert exact_rate(trace, config) == 0.0
+        assert lru_results(trace, [config], SamplingPlan(1))[config].writebacks_received == 3
 
     def test_rejects_non_lru(self):
-        profile = profile_miss_trace(random_trace())[64]
-        with pytest.raises(ValueError):
-            estimate_hit_rate(
-                profile, CacheConfig(capacity=4096, assoc=2, block_size=64, policy="random")
-            )
+        for config in (
+            CacheConfig(capacity=4096, assoc=2, block_size=64, policy="random"),
+            CacheConfig(capacity=4096, assoc=2, block_size=64, policy="lru",
+                        write_allocate=False),
+        ):
+            with pytest.raises(ValueError, match="write-allocate LRU"):
+                lru_results(random_trace(), [config], SamplingPlan(1))
 
     def test_best_estimate_reports_winning_config(self):
-        profiles = profile_miss_trace(random_trace())
-        estimate, config = best_estimate_at_size(profiles, 64 * 1024)
-        assert 0.0 <= estimate <= 1.0
-        assert config.capacity == 64 * 1024
-        assert config.block_size in PROFILE_BLOCK_SIZES
-        # The reported estimate is attainable by the reported config.
-        assert estimate == estimate_hit_rate(profiles[config.block_size], config)
+        trace = random_trace()
+        ladder = l2_ladder(trace, [4096], SamplingPlan(1))
+        target = SimpleNamespace(hit_rate=1.0)
+        (point,) = match_ladder("t", 1.0, target, "streams", ladder, [4096]).l2_hit_rates
+        winner = next(
+            c for c in candidate_configs(4096)
+            if (c.assoc, c.block_size) == (point.assoc, point.block_size)
+        )
+        assert point.size == 4096
+        assert point.block_size in PROFILE_BLOCK_SIZES
+        # The reported rate is attained by the reported config, and no
+        # configuration of the size beats it.
+        assert point.hit_rate == ladder[winner].local_hit_rate
+        assert point.hit_rate == max(r.local_hit_rate for r in ladder.values())
 
 
 class TestMattsonInclusion:
@@ -240,72 +248,19 @@ class TestMattsonInclusion:
 
 
 class TestBinomialEdges:
-    """Regression guard on `_binomial_cdf` under the new combined-locality
-    estimator: the degenerate corners must degrade to exact Mattson
-    indicators, not drift with the group machinery."""
-
-    def test_p_one_is_exact_mattson_indicator(self):
-        # Every intervening block lands in the set: a hit iff the stack
-        # distance fits in the assoc ways — Mattson's exact criterion.
-        from repro.analytic.model import _binomial_cdf
-
-        d = np.arange(12)
-        for assoc in (1, 2, 4):
-            cdf = _binomial_cdf(d, assoc - 1, 1.0)
-            assert np.array_equal(cdf, (d <= assoc - 1).astype(float))
-
-    def test_p_zero_is_always_hit(self):
-        from repro.analytic.model import _binomial_cdf
-
-        cdf = _binomial_cdf(np.arange(8), 0, 0.0)
-        assert np.array_equal(cdf, np.ones(8))
-
-    def test_assoc_one_is_geometric_survival(self):
-        from repro.analytic.model import _binomial_cdf
-
-        d = np.arange(10)
-        cdf = _binomial_cdf(d, 0, 0.25)
-        assert cdf == pytest.approx(0.75**d)
-
-    def test_cdf_bounded_and_monotone_in_successes(self):
-        from repro.analytic.model import _binomial_cdf
-
-        d = np.arange(0, 3000, 37)
-        prev = np.zeros(len(d))
-        for successes in range(0, 9):
-            cdf = _binomial_cdf(d, successes, 1.0 / 8)
-            assert np.all(cdf >= prev - 1e-12)
-            assert np.all((0.0 <= cdf) & (cdf <= 1.0))
-            prev = cdf
+    """The degenerate corners of the per-set kernel: one set, one way."""
 
     def test_n_sets_one_equals_fa_mattson(self):
-        # The estimator's fully-associative corner is the exact FA curve.
+        # The kernel's fully-associative corner is the exact FA curve.
         trace = random_trace(n=3000, n_blocks=120)
         profile = profile_miss_trace(trace, block_sizes=(64,))[64]
         for blocks in (4, 16, 64):
             config = fa_config(blocks, 64)
-            assert estimate_hit_rate(profile, config) == fa_hit_rate(
-                profile, config.capacity
-            )
+            assert exact_rate(trace, config) == fa_hit_rate(profile, config.capacity)
 
     def test_direct_mapped_single_set_cache(self):
         # capacity == one block: n_sets == 1 AND assoc == 1 — both
         # degenerate paths at once; hits require distance exactly 0.
         trace = make_trace([0, 0, 64, 64, 0])
-        profile = profile_miss_trace(trace, block_sizes=(64,))[64]
         config = CacheConfig(capacity=64, assoc=1, block_size=64, policy="lru")
-        assert estimate_hit_rate(profile, config) == pytest.approx(2 / 5)
-
-    def test_uniform_fallback_without_bucket_arrays(self):
-        # Profiles predating the combined-locality arrays still estimate
-        # via the uniform 1/n_sets binomial instead of failing.
-        from dataclasses import replace
-
-        trace = random_trace(n=2000, n_blocks=96)
-        profile = profile_miss_trace(trace, block_sizes=(64,))[64]
-        legacy = replace(profile, bucket_footprint=None, bucket_demand=None)
-        config = CacheConfig(capacity=64 * 32, assoc=2, block_size=64, policy="lru")
-        rate = estimate_hit_rate(legacy, config)
-        assert 0.0 <= rate <= 1.0
-        simulated = simulate_secondary(trace, config).local_hit_rate
-        assert abs(rate - simulated) < 0.05
+        assert exact_rate(trace, config) == pytest.approx(2 / 5)

@@ -1,19 +1,23 @@
-"""Tests for repro.analytic.screen: the analytically screened Table 4
-search must agree with brute force while simulating a fraction of the
-grid, and its store-backed profile path must round-trip."""
+"""Tests for the Table 4 search on the exact L2 ladder, under both of
+its names (:func:`repro.sim.compare.min_matching_l2_size` and
+:func:`repro.analytic.min_matching_l2_size_analytic`): it must return
+the matched size of the per-configuration probe search while evaluating
+every size exactly, and its store-backed path must serve miss traces."""
 
-import numpy as np
+from types import SimpleNamespace
+
 import pytest
 
-from repro.analytic import (
-    ESTIMATOR_SLACK,
-    PROFILE_BLOCK_SIZES,
-    ensure_profiles,
-    min_matching_l2_size_analytic,
+from repro.analytic import min_matching_l2_size_analytic
+from repro.caches.sampling import SamplingPlan, sampled_hit_rate
+from repro.caches.secondary import (
+    PAPER_L2_ASSOCS,
+    PAPER_L2_BLOCKS,
+    PAPER_L2_SIZES,
+    SecondaryResult,
+    candidate_configs,
 )
-from repro.caches.sampling import sampling_halfwidth
-from repro.caches.secondary import PAPER_L2_ASSOCS, PAPER_L2_BLOCKS, PAPER_L2_SIZES
-from repro.sim.compare import min_matching_l2_size, search_min_match
+from repro.sim.compare import match_ladder, min_matching_l2_size, search_min_match
 from repro.sim.runner import MissTraceCache
 from repro.trace.store import TraceStore
 
@@ -25,112 +29,143 @@ def cache():
     return MissTraceCache()
 
 
+def probe_search(miss_trace, target, sizes=PAPER_L2_SIZES, plan=SamplingPlan(8)):
+    """The binary search over per-configuration ``sampled_hit_rate``
+    probes, each size stopping at its first configuration that reaches
+    the target: the search the ladder replaced, from public pieces."""
+    sizes = sorted(sizes)
+
+    def decide(index):
+        return any(
+            sampled_hit_rate(miss_trace, config, plan).local_hit_rate >= target
+            for config in candidate_configs(sizes[index])
+        )
+
+    matched = search_min_match(len(sizes), decide)
+    return None if matched is None else sizes[matched]
+
+
 class TestAgreementWithBruteForce:
     @pytest.mark.parametrize(
         "name,scale",
         [("random", 1.0), ("sweep", 0.25), ("buk", 0.5), ("mdg", 0.5)],
     )
     def test_matched_size_and_budget(self, cache, name, scale):
-        brute = min_matching_l2_size(name, scale=scale, cache=cache)
-        screened = min_matching_l2_size_analytic(name, scale=scale, cache=cache)
-        assert screened.matched_size == brute.matched_size
-        assert screened.configs_simulated <= GRID_CONFIGS // 4
-        # Any size both paths probed produced bit-identical points.
-        brute_points = {p.size: p for p in brute.l2_hit_rates}
-        for point in screened.l2_hit_rates:
-            if point.size in brute_points:
-                assert point == brute_points[point.size]
+        ladder = min_matching_l2_size(name, scale=scale, cache=cache)
+        miss_trace, _ = cache.get(name, scale=scale)
+        assert ladder.matched_size == probe_search(
+            miss_trace, ladder.stream_stats.hit_rate
+        )
+        # One exact ladder: every candidate configuration, nothing pruned.
+        assert ladder.configs_simulated == GRID_CONFIGS
+        assert ladder.sizes_pruned == 0
+        assert min_matching_l2_size_analytic(name, scale=scale, cache=cache) == ladder
 
-    def test_unmatchable_needs_no_simulation(self, cache):
+    def test_unmatchable_cell_reports_every_size(self, cache):
         # A pure sweep has no L2 reuse while streams are near-perfect:
-        # the whole ladder is certain-miss and is screened out entirely.
+        # no size matches, and the ladder still reports all of them.
         screened = min_matching_l2_size_analytic("sweep", scale=0.25, cache=cache)
         assert screened.matched_size is None
-        assert screened.configs_simulated == 0
-        assert screened.l2_hit_rates == ()
+        assert [p.size for p in screened.l2_hit_rates] == sorted(PAPER_L2_SIZES)
+        assert all(p.hit_rate < screened.stream_stats.hit_rate for p in screened.l2_hit_rates)
 
     def test_result_provenance_fields(self, cache):
         screened = min_matching_l2_size_analytic("random", cache=cache)
-        assert screened.method == "analytic"
-        assert [size for size, _ in screened.analytic_estimates] == sorted(
-            PAPER_L2_SIZES
-        )
-        assert all(0.0 <= est <= 1.0 for _, est in screened.analytic_estimates)
-        brute = min_matching_l2_size("random", cache=cache)
-        assert brute.method == "simulated"
-        assert brute.analytic_estimates == ()
+        assert screened.mechanism == "streams"
+        assert [p.size for p in screened.l2_hit_rates] == sorted(PAPER_L2_SIZES)
+        assert all(0.0 <= p.hit_rate <= 1.0 for p in screened.l2_hit_rates)
+        assert screened.probe_seconds > 0.0
+        assert screened.configs_simulated == GRID_CONFIGS
 
     def test_probed_points_carry_config_provenance(self, cache):
         screened = min_matching_l2_size_analytic("buk", scale=0.5, cache=cache)
+        miss_trace, _ = cache.get("buk", scale=0.5)
+        plan = SamplingPlan(8)
         for point in screened.l2_hit_rates:
-            assert point.assoc in PAPER_L2_ASSOCS
-            assert point.block_size in PAPER_L2_BLOCKS
+            rates = [
+                (sampled_hit_rate(miss_trace, config, plan).local_hit_rate, config)
+                for config in candidate_configs(point.size)
+            ]
+            best = max(rate for rate, _ in rates)
+            # The best rate, from the first configuration reaching it.
+            first = next(config for rate, config in rates if rate == best)
+            assert point.hit_rate == best
+            assert (point.assoc, point.block_size) == (first.assoc, first.block_size)
+
+    def test_custom_sizes(self, cache):
+        sizes = (256 * 1024, 64 * 1024, 1 << 20)
+        result = min_matching_l2_size("buk", scale=0.5, cache=cache, sizes=sizes)
+        assert [p.size for p in result.l2_hit_rates] == sorted(sizes)
+        assert result.configs_simulated == len(sizes) * 6
+        miss_trace, _ = cache.get("buk", scale=0.5)
+        assert result.matched_size == probe_search(
+            miss_trace, result.stream_stats.hit_rate, sizes
+        )
+
+    def test_non_monotone_ladder_keeps_binary_search_answer(self):
+        # Sampling can make the best-rate curve dip.  The decision is a
+        # lookup into the ladder, so the matched size is the one the
+        # binary search reaches, not the first size over the target.
+        sizes = [1024 << i for i in range(4)]
+        hits = dict(zip(sizes, (5, 1, 6, 9)))  # per 10 demand accesses
+        ladder = {
+            config: SecondaryResult(
+                config, 10, hits[size] if config.assoc == 2 else 0, 0, config.n_sets
+            )
+            for size in sizes
+            for config in candidate_configs(size)
+        }
+        target = SimpleNamespace(hit_rate=0.45)
+        result = match_ladder("synthetic", 1.0, target, "streams", ladder, sizes)
+        assert result.matched_size == sizes[2]
+        assert [p.hit_rate for p in result.l2_hit_rates] == [0.5, 0.1, 0.6, 0.9]
+        # Ties go to the first candidate configuration: 2-way, 64 B.
+        assert {(p.assoc, p.block_size) for p in result.l2_hit_rates} == {(2, 64)}
 
 
 class TestStoreBackedProfiles:
-    def test_ensure_profiles_round_trips(self, tmp_path, cache):
-        store = TraceStore(tmp_path)
-        trace, _ = cache.get("buk", scale=0.5)
-        computed = ensure_profiles(trace, store=store, digest="d1")
-        assert store.count("profile") == 1
-        loaded = ensure_profiles(trace, store=store, digest="d1")
-        for bs in PROFILE_BLOCK_SIZES:
-            assert np.array_equal(loaded[bs].read_hist, computed[bs].read_hist)
-            assert np.array_equal(loaded[bs].write_hist, computed[bs].write_hist)
-            assert loaded[bs].cold_reads == computed[bs].cold_reads
+    """The search runs over a store-backed trace cache; it writes no
+    ``profile`` entries, which only the fully-associative profiler makes."""
 
     def test_no_store_still_works(self, cache):
-        trace, _ = cache.get("random", scale=1.0)
-        profiles = ensure_profiles(trace)
-        assert set(profiles) == set(PROFILE_BLOCK_SIZES)
+        result = min_matching_l2_size_analytic("random", cache=MissTraceCache())
+        assert result == min_matching_l2_size("random", cache=cache)
 
-    def test_search_through_store_matches_memoryless(self, tmp_path):
+    def test_search_through_store_matches_memoryless(self, tmp_path, cache):
         store = TraceStore(tmp_path)
         stored_cache = MissTraceCache(store=store)
         first = min_matching_l2_size_analytic("buk", scale=0.5, cache=stored_cache)
-        assert store.count("profile") == 1
-        # A fresh cache (new process, conceptually) loads the profile.
+        assert store.count("profile") == 0
+        # A fresh cache (new process, conceptually) loads the trace.
         second = min_matching_l2_size_analytic(
             "buk", scale=0.5, cache=MissTraceCache(store=store)
         )
-        assert second.matched_size == first.matched_size
-        assert second.analytic_estimates == first.analytic_estimates
-        assert second.l2_hit_rates == first.l2_hit_rates
+        assert second == first
+        assert second == min_matching_l2_size("buk", scale=0.5, cache=cache)
 
 
 class TestGuidedSearch:
-    """search_min_match unit behaviour: the screen's seeded lower-bound
-    search must stay correct for any guess and any monotone predicate."""
+    """search_min_match unit behaviour: an unguided lower-bound binary
+    search over any monotone predicate."""
 
-    @pytest.mark.parametrize("boundary", range(8))
-    @pytest.mark.parametrize("guess", [None, 0, 3, 7])
-    def test_finds_boundary_for_any_guess(self, boundary, guess):
+    @pytest.mark.parametrize("boundary", range(9))
+    def test_finds_boundary(self, boundary):
         probes = []
 
         def decide(i):
             probes.append(i)
             return i >= boundary
 
-        assert search_min_match(8, decide, guess=guess) == boundary
+        assert search_min_match(8, decide) == (boundary if boundary < 8 else None)
         assert len(probes) == len(set(probes))  # never re-probes a size
 
-    @pytest.mark.parametrize("guess", [None, 0, 7])
-    def test_unmatchable_returns_none(self, guess):
-        assert search_min_match(8, lambda i: False, guess=guess) is None
-
-    def test_correct_guess_resolves_in_two_probes(self):
-        probes = []
-
-        def decide(i):
-            probes.append(i)
-            return i >= 4
-
-        assert search_min_match(8, decide, guess=4) == 4
-        assert len(probes) == 2  # the boundary and its predecessor
+    def test_unmatchable_returns_none(self):
+        assert search_min_match(8, lambda i: False) is None
+        assert search_min_match(0, lambda i: True) is None
 
     def test_unguided_is_binary(self):
         probes = []
-        search_min_match(64, lambda i: probes.append(i) or False, guess=None)
+        search_min_match(64, lambda i: probes.append(i) or False)
         assert len(probes) <= 7  # log2(64) + 1, not a linear walk
 
 
@@ -156,16 +191,3 @@ class TestConfidenceBands:
         band = sampled.hit_rate_halfwidth()
         assert band > 0.0
         assert sampled.hit_rate_halfwidth(z=1.0) < band  # scales with z
-
-    def test_apriori_halfwidth_edges(self):
-        assert sampling_halfwidth(0) == 1.0
-        assert sampling_halfwidth(-5) == 1.0
-        assert sampling_halfwidth(10_000) < 0.02
-        # Worst-case p=0.5 dominates any actual rate.
-        assert sampling_halfwidth(400, hit_rate=0.1) < sampling_halfwidth(400)
-
-    def test_screen_margin_is_conservative(self, cache):
-        # The pruning margin must cover both noise sources by design.
-        assert ESTIMATOR_SLACK > 0.0
-        margin = sampling_halfwidth(1000) + ESTIMATOR_SLACK
-        assert margin > ESTIMATOR_SLACK

@@ -108,6 +108,33 @@ class TestDetectionPower:
         assert "fa_hit_count" in divergence.what
         assert "repro check --replay analytic:0" in str(divergence)
 
+    def test_detects_ladder_mutations(self, monkeypatch):
+        # The analytic row's ladder half against scratch faults in the
+        # per-set stack-distance path, over seeds 0-49 at 600 events.
+        from repro.caches import sampling
+
+        def caught() -> int:
+            return sum(1 for seed in range(50) if differ.diff_analytic(seed, n_events=600))
+
+        real = sampling.lru_stack_distances
+        with monkeypatch.context() as patch:
+            # ``dist <= A``: a hit one distance too far (44 of 50 seeds
+            # when written; distance 0 stays a hit).
+            patch.setattr(
+                sampling, "lru_stack_distances",
+                lambda blocks, set_mask=0: (lambda d: d - (d > 0))(real(blocks, set_mask)),
+            )
+            assert caught() >= 40
+        with monkeypatch.context() as patch:
+            # A dropped sample_every halving (36 of 50; a factor-1 draw
+            # or a ladder of only large caches cannot show it).
+            patch.setattr(sampling, "sample_factor", lambda plan, n_sets: plan.sample_every)
+            assert caught() >= 30
+        with monkeypatch.context() as patch:
+            # Write-backs counted as demand accesses.
+            patch.setattr(sampling, "_WB", -1)
+            assert all(differ.diff_analytic(seed, n_events=600) for seed in range(10))
+
     def test_detects_two_phase_composition_fault(self, monkeypatch):
         # A residual that drops the write-backs it must pass to the back
         # member.  With a per-event online stack and replay_secondary on

@@ -96,26 +96,26 @@ class TestCommands:
         assert "FA LRU" in out
         assert "64 KB" in out
 
-    def test_compare_analytic(self, capsys):
-        # A pure sweep is screened out entirely: every ladder entry is a
-        # certain miss, so the search simulates nothing.
-        assert main(["compare", "sweep", "--scale", "0.25", "--analytic"]) == 0
-        out = capsys.readouterr().out
-        assert "analytic est %" in out
-        assert "screened out" in out
-        assert "min matching L2 : >4 MB" in out
-        assert "simulated       : 0/42" in out
-
-    def test_compare_analytic_trace_store(self, tmp_path, capsys):
+    def test_compare_mechanism_prints_the_ladder(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        args = ["compare", "sweep", "--scale", "0.25", "--analytic",
+        args = ["compare", "sweep", "--scale", "0.25", "--mechanism", "streams",
                 "--trace-store", store_dir]
         assert main(args) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "min matching L2 : >4 MB" in out
+        assert "evaluated       : 42 candidate configs" in out
+        for size in ("64 KB", "512 KB", "4 MB"):
+            assert size in out
         from repro.trace.store import TraceStore
 
-        assert TraceStore(store_dir).count("profile") == 1
-        assert main(args) == 0  # second run loads trace + profiles
+        store = TraceStore(store_dir)
+        assert store.count("trace") == 1 and store.count("profile") == 0
+        assert main(args) == 0  # the second run loads the stored trace
+        assert capsys.readouterr().out == out
+
+    def test_compare_has_no_analytic_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "sweep", "--analytic"])
 
     def test_check_replay_analytic(self, capsys):
         assert main(["check", "--replay", "analytic:3"]) == 0

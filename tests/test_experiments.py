@@ -136,31 +136,3 @@ class TestTable4:
         out = experiments.render_table4(rows)
         assert "Table 4" in out
         assert "min L2" in out
-
-
-class TestAnalytic4:
-    def test_verified_rows_agree(self, cache):
-        rows = experiments.analytic4(scales={"buk": (0.25, 0.5)}, cache=cache)
-        assert len(rows) == 2
-        assert all(r.agree for r in rows)
-        assert all(r.min_l2_analytic == r.min_l2_simulated for r in rows)
-        assert all(r.configs_analytic <= r.grid_configs // 4 for r in rows)
-        out = experiments.render_analytic4(rows)
-        assert "Analytic Table 4 screen" in out
-        assert "all matched sizes agree" in out
-
-    def test_unverified_skips_brute_force(self, cache):
-        rows = experiments.analytic4(
-            scales={"buk": (0.25,)}, cache=cache, verify=False
-        )
-        assert rows[0].min_l2_simulated == "-"
-        assert rows[0].configs_simulated == 0
-
-    def test_render_reports_disagreement(self):
-        row = experiments.AnalyticScreenRow(
-            name="buk", scale=0.5, stream_hit_pct=50.0,
-            min_l2_analytic="1 MB", min_l2_simulated="2 MB",
-            configs_analytic=4, configs_simulated=20, grid_configs=42,
-            agree=False,
-        )
-        assert "DISAGREEMENTS: buk@0.5" in experiments.render_analytic4([row])

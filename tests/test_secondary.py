@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
+from repro.caches import sampling
 from repro.caches.sampling import (
     SamplingPlan,
+    l2_ladder,
+    lru_results,
     sampled_hit_rate,
     sampling_error_bound,
-    sampling_halfwidth,
 )
 from repro.caches.secondary import (
+    COLD,
     PAPER_L2_SIZES,
     best_hit_rate_at_size,
     candidate_configs,
+    lru_stack_distances,
     simulate_secondary,
 )
+from repro.check import invariants
 from repro.trace.events import Trace
 
 
@@ -117,31 +122,97 @@ class TestSetSampling:
         with pytest.raises(ValueError):
             sampling_error_bound([0.5], [])
 
-    @pytest.mark.parametrize(
-        "sampled,population,expected",
-        [
-            (0, None, 1.0),  # empty sample, unknown population: vacuous
-            (-3, None, 1.0),
-            (0, 100, 1.0),  # empty sample of a real population: vacuous
-            (100, 100, 0.0),  # full coverage is an exact measurement
-            (150, 100, 0.0),  # over-coverage cannot be worse than exact
-            (100, 0, 0.0),  # empty population: nothing to mis-estimate
-            (0, 0, 0.0),  # empty sample of an empty population: exact
-            (100, -5, 0.0),
-        ],
-    )
-    def test_halfwidth_degenerate_pins(self, sampled, population, expected):
-        assert sampling_halfwidth(sampled, population=population) == expected
-
-    def test_halfwidth_normal_band(self):
-        # the binomial band, untouched by the pins
-        expected = 3.0 * np.sqrt(0.25 / 400)
-        assert sampling_halfwidth(400, population=100_000) == pytest.approx(expected)
-        assert sampling_halfwidth(400) == pytest.approx(expected)
-        # shrinks with sample size, never negative
-        assert sampling_halfwidth(1600) < sampling_halfwidth(400)
-
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             SamplingPlan(sample_every=0)
         assert SamplingPlan(sample_every=16).sets_sampled(256) == 16
+
+
+def naive_stack_distances(blocks, set_mask):
+    """Distinct same-set blocks since the previous access, by rescanning."""
+    dist = []
+    for i, block in enumerate(blocks):
+        earlier = [j for j in range(i) if blocks[j] == block]
+        if not earlier:
+            dist.append(COLD)
+            continue
+        between = {
+            b for b in blocks[earlier[-1] + 1:i] if b & set_mask == block & set_mask
+        }
+        dist.append(len(between))
+    return dist
+
+
+def reuse_trace(n=6000, n_blocks=3000, seed=3):
+    """Reads, writes and write-backs over a footprint with reuse at every
+    distance (a hot eighth of the blocks takes half the accesses)."""
+    rng = np.random.default_rng(seed)
+    hot = rng.integers(0, n_blocks // 8, size=n)
+    cold = rng.integers(0, n_blocks, size=n)
+    blocks = np.where(rng.random(n) < 0.5, hot, cold)
+    kinds = rng.choice(
+        [int(MissEventKind.READ_MISS), int(MissEventKind.WRITE_MISS),
+         int(MissEventKind.WRITEBACK), int(MissEventKind.IFETCH_MISS)],
+        size=n, p=[0.6, 0.15, 0.15, 0.1],
+    )
+    return make_miss_trace(blocks, kinds)
+
+
+class TestStackDistanceLadder:
+    @pytest.mark.parametrize("set_mask", [0, 1, 7, 63])
+    def test_kernel_matches_rescanning(self, set_mask):
+        rng = np.random.default_rng(set_mask)
+        for n in (0, 1, 2, 5, 300):
+            blocks = rng.integers(0, 40, size=n)
+            assert lru_stack_distances(blocks, set_mask).tolist() == (
+                naive_stack_distances(blocks.tolist(), set_mask)
+            )
+
+    @pytest.mark.parametrize("sample_every", [1, 8])
+    def test_every_paper_config_equals_sampled_hit_rate(self, sample_every):
+        mt = reuse_trace()
+        plan = SamplingPlan(sample_every=sample_every)
+        ladder = l2_ladder(mt, PAPER_L2_SIZES, plan)
+        assert list(ladder) == [
+            config for size in PAPER_L2_SIZES for config in candidate_configs(size)
+        ]
+        for config, result in ladder.items():
+            assert result == sampled_hit_rate(mt, config, plan)
+
+    def test_small_caches_halve_the_factor_like_sampled_hit_rate(self):
+        mt = reuse_trace(n=2000, n_blocks=400)
+        plan = SamplingPlan(sample_every=16)
+        ladder = l2_ladder(mt, [1024 << i for i in range(6)], plan)
+        assert {r.sampled_sets for r in ladder.values()} >= {4}
+        for config, result in ladder.items():
+            assert result == sampled_hit_rate(mt, config, plan)
+
+    def test_one_pass_per_set_count(self, monkeypatch):
+        passes = []
+
+        def counting(blocks, set_mask=0):
+            passes.append(set_mask)
+            return lru_stack_distances(blocks, set_mask)
+
+        monkeypatch.setattr(sampling, "lru_stack_distances", counting)
+        ladder = l2_ladder(reuse_trace(n=500), PAPER_L2_SIZES, SamplingPlan(8))
+        assert len(ladder) == 42
+        # 7 sizes x 2 block sizes x 3 associativities share 18 set counts.
+        assert len(passes) == len({(c.n_sets, c.block_size) for c in ladder}) == 18
+
+    def test_repro_check_runs_the_scalar_cache(self, monkeypatch):
+        mt = reuse_trace(n=800)
+        plan = SamplingPlan(8)
+        fast = l2_ladder(mt, PAPER_L2_SIZES[:2], plan)
+        monkeypatch.setattr(invariants, "ENABLED", True)
+        monkeypatch.setattr(sampling, "lru_stack_distances", None)  # never reached
+        assert l2_ladder(mt, PAPER_L2_SIZES[:2], plan) == fast
+        with pytest.raises(TypeError):
+            l2_ladder(mt, PAPER_L2_SIZES[:2], plan, force=True)
+
+    def test_empty_trace(self):
+        mt = make_miss_trace([])
+        config = candidate_configs(PAPER_L2_SIZES[0])[0]
+        result = lru_results(mt, [config], SamplingPlan(8))[config]
+        assert result == sampled_hit_rate(mt, config, SamplingPlan(8))
+        assert result.demand_accesses == 0 and result.local_hit_rate == 0.0

@@ -115,6 +115,33 @@ class TestSpectrumExtraction:
         assert spectrum == naive_spectrum(trace)
 
 
+    def test_writebacks_scale_with_open_strides_not_open_runs(self):
+        # 20,000 unit runs opened and never continued, then 20,000
+        # write-backs: a scan of every open run per write-back is
+        # 4x10^8 visits (minutes); probing each open stride's window is
+        # three lookups per write-back.
+        import time
+
+        # One pair per 2 MB partition, so no partition sees a stride.
+        pairs = np.arange(20_000, dtype=np.int64) << 21
+        opens = np.stack([pairs, pairs + BLOCK], axis=1).ravel()
+        # A quarter hit the run's next block, a quarter the block after
+        # it (inside the window), the rest no run's window.
+        ahead = np.array([2, 3, 8, 8] * 5_000, dtype=np.int64) * BLOCK
+        kinds = np.concatenate([
+            np.full(opens.shape[0], oracle.EV_READ_MISS, dtype=np.uint8),
+            np.full(pairs.shape[0], oracle.EV_WRITEBACK, dtype=np.uint8),
+        ])
+        trace = miss_trace(np.concatenate([opens, pairs + ahead]), kinds)
+        started = time.perf_counter()
+        spectrum = extract_spectrum(trace)
+        assert time.perf_counter() - started < 5.0
+        assert spectrum.run_length.shape[0] == 20_000
+        assert spectrum.writebacks == 20_000
+        assert int(spectrum.run_wb_next.sum()) == 5_000
+        assert int(spectrum.run_wb_window.sum()) == 10_000
+
+
 class TestSpectrumStore:
     def test_round_trip_exact(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -102,8 +102,9 @@ class TestMinMatchingL2:
 
     def test_binary_search_counts_configs(self, cache):
         result = min_matching_l2_size("random", cache=cache)
-        assert result.method == "simulated"
-        assert result.configs_simulated >= len(result.l2_hit_rates)
+        # Every size's grid is evaluated once, then binary-searched.
+        assert len(result.l2_hit_rates) == 7
+        assert result.configs_simulated == 6 * len(result.l2_hit_rates)
 
 
 class TestFormatSize:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.caches.cache import Cache, CacheConfig, MissEventKind, MissTrace
+from repro.caches.sampling import SamplingPlan, lru_results
 from repro.caches.secondary import simulate_secondary
 from repro.check import differ
 from repro.check import invariants as _inv
@@ -84,11 +85,8 @@ class TestSupportPredicates:
         trace = Trace(addrs, np.zeros(3, dtype=np.uint8), pcs=addrs + 4 if pcs else None)
         l1 = vector.vector_simulate_cache(config, trace)
         assert vector.cache_vector_supported(config, trace) == (l1 is not None)
-        l2 = vector.vector_simulate_secondary(_miss_trace([0, 64, 4096]), config)
-        assert vector.secondary_vector_supported(config) == (l2 is not None)
-        # Outside REPRO_CHECK the predicates mark the engines' envelope.
+        # Outside REPRO_CHECK the predicate marks the engine's envelope.
         in_envelope = config.write_back and config.write_allocate
-        assert (l2 is not None) == (in_envelope and not armed)
         assert (l1 is not None) == (in_envelope and not pcs and not armed)
 
     @pytest.mark.parametrize("armed", [False, True])
@@ -431,35 +429,30 @@ class TestStridedStreams:
 
 
 class TestSecondaryProbe:
-    def test_unsupported_policy_domain_falls_back(self):
-        assert (
-            vector.vector_simulate_secondary(
-                _miss_trace([0]), _wb_config(write_back=False)
-            )
-            is None
-        )
+    """The Table 4 L2 probes run as one stack-distance ladder
+    (:func:`repro.caches.sampling.lru_results`), bit-identical to the
+    scalar simulator on write-allocate LRU."""
 
     def test_bad_sample_every_raises(self):
         with pytest.raises(ValueError, match="sample_every"):
-            vector.vector_simulate_secondary(
-                _miss_trace([0]), _wb_config(), sample_every=0
-            )
+            SamplingPlan(sample_every=0)
 
-    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @pytest.mark.parametrize("policy", ["lru"])
     @pytest.mark.parametrize("sample_every", [1, 4])
     def test_identical_to_scalar(self, policy, sample_every):
         config = _wb_config(policy=policy, capacity=16 * 1024, assoc=2, block_size=64)
+        plan = SamplingPlan(sample_every)
         for seed in range(3):
             mt = differ.random_miss_trace(random.Random(seed), 1500)
-            vec = vector.vector_simulate_secondary(mt, config, sample_every=sample_every)
+            ladder = lru_results(mt, [config], plan)[config]
             ref = simulate_secondary(mt, config, sample_every=sample_every)
-            assert vec == ref
+            assert ladder == ref
 
     def test_empty_miss_trace(self):
-        config = _wb_config()
-        vec = vector.vector_simulate_secondary(_miss_trace([]), config)
+        config = _wb_config(policy="lru")
+        ladder = lru_results(_miss_trace([]), [config], SamplingPlan(1))[config]
         ref = simulate_secondary(_miss_trace([]), config)
-        assert vec == ref
+        assert ladder == ref
 
 
 class TestCachedKindFlags:
