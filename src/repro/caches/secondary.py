@@ -84,8 +84,7 @@ class SecondaryResult:
         unbiased subset of the demand stream, so the estimate's standard
         error is ``sqrt(p * (1-p) / n)`` over the ``n`` demand accesses
         that mapped to sampled sets.  ``z`` widens it to the desired
-        confidence (the default 3 sigma is what the analytic screen uses
-        to separate a real hit-rate difference from sampling noise).
+        confidence (3 sigma by default).
 
         0.0 when every set was simulated — the measurement is exact; 1.0
         when sampling left no demand accesses at all (no information).
@@ -222,6 +221,7 @@ def lru_stack_distances(blocks: np.ndarray, set_mask: int = 0) -> np.ndarray:
     if set_mask:
         sets = blocks & set_mask
         if set_mask <= 0xFFFF:
+            # numpy's stable sort of 16-bit keys is a radix sort.
             sets = sets.astype(np.uint16)
         order = np.argsort(sets, kind="stable")
         blocks = blocks[order]
