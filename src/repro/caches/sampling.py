@@ -71,7 +71,7 @@ def sample_factor(plan: SamplingPlan, n_sets: int) -> int:
 def sampled_hit_rate(
     miss_trace: MissTrace,
     config: CacheConfig,
-    plan: SamplingPlan,
+    plan: SamplingPlan = SamplingPlan(),
 ) -> SecondaryResult:
     """Simulate ``config`` with set sampling.
 
