@@ -113,7 +113,11 @@ class MatchResult:
         return self.stream_stats.hit_rate_percent
 
 
-def search_min_match(n_sizes: int, decide: Callable[[int], bool]) -> Optional[int]:
+def search_min_match(
+    n_sizes: int,
+    decide: Callable[[int], bool],
+    guess: Optional[int] = None,
+) -> Optional[int]:
     """Lower-bound binary search over a match predicate.
 
     Args:
@@ -121,18 +125,29 @@ def search_min_match(n_sizes: int, decide: Callable[[int], bool]) -> Optional[in
         decide: ``decide(i)`` — does the size at index ``i`` reach the
             target?  The result is the true minimum where it is monotone
             (False below some boundary, True at and above it).
+        guess: optional index to probe first (a predicted boundary).
+            After each probe the next guess is the adjacent boundary
+            candidate, so a correct prediction resolves in two probes; a
+            wrong one degrades toward plain binary search.  The Table 4
+            search passes none: its ``decide`` is a ladder lookup.
 
     Returns:
         Index of the smallest matching size, or None when nothing
         matches.
     """
+    guided = guess is not None
     left, right = 0, n_sizes
     while left < right:
-        mid = (left + right) // 2
+        if guided and guess is not None and left <= guess < right:
+            mid = guess
+        else:
+            mid = (left + right) // 2
         if decide(mid):
             right = mid
+            guess = mid - 1
         else:
             left = mid + 1
+            guess = mid + 1
     return left if left < n_sizes else None
 
 

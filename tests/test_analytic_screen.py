@@ -145,23 +145,35 @@ class TestStoreBackedProfiles:
 
 
 class TestGuidedSearch:
-    """search_min_match unit behaviour: an unguided lower-bound binary
-    search over any monotone predicate."""
+    """search_min_match unit behaviour: the lower-bound search must stay
+    correct for any guess and any monotone predicate."""
 
-    @pytest.mark.parametrize("boundary", range(9))
-    def test_finds_boundary(self, boundary):
+    @pytest.mark.parametrize("boundary", range(8))
+    @pytest.mark.parametrize("guess", [None, 0, 3, 7])
+    def test_finds_boundary_for_any_guess(self, boundary, guess):
         probes = []
 
         def decide(i):
             probes.append(i)
             return i >= boundary
 
-        assert search_min_match(8, decide) == (boundary if boundary < 8 else None)
+        assert search_min_match(8, decide, guess=guess) == boundary
         assert len(probes) == len(set(probes))  # never re-probes a size
 
-    def test_unmatchable_returns_none(self):
-        assert search_min_match(8, lambda i: False) is None
-        assert search_min_match(0, lambda i: True) is None
+    @pytest.mark.parametrize("guess", [None, 0, 7])
+    def test_unmatchable_returns_none(self, guess):
+        assert search_min_match(8, lambda i: False, guess=guess) is None
+        assert search_min_match(0, lambda i: True, guess=guess) is None
+
+    def test_correct_guess_resolves_in_two_probes(self):
+        probes = []
+
+        def decide(i):
+            probes.append(i)
+            return i >= 4
+
+        assert search_min_match(8, decide, guess=4) == 4
+        assert len(probes) == 2  # the boundary and its predecessor
 
     def test_unguided_is_binary(self):
         probes = []
